@@ -8,8 +8,10 @@ high-frequency plateau experiment).
 
 Every command is a pure function of its flags and seed: re-running writes
 byte-identical files.  Exit code 0 means all internal assertions passed;
-failures print a one-line ``FAIL <command> reason=...`` summary, usage or
-data errors print ``error: ...`` and exit 2.
+failures print a one-line ``FAIL <command> reason=...`` summary and exit 1;
+usage, data and resource errors (including a failed sampler or an
+allocation that does not fit in memory) print a one-line ``error: ...``
+and exit 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ from .figures import restoring_run, spectra_run
 from .models import NoiseModel, increments, parse_model, RedOuDt
 from .plateau import plateau_experiment
 from .series import FORMATS, IncrementSeries, load_values, save_series, write_csv
-from .spectral import AvgSpectrum, band_average, empirical_acf, loglog_slope, periodogram
+# periodogram and band_average are not called here; they stay importable
+# under these names because bench/traced_cli.py wraps them in this module.
+from .spectral import (AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
+                       empirical_acf, loglog_slope, periodogram)
 from .streams import GaussianStream
 
 __all__ = ["RunConfig", "main", "cmd_generate", "cmd_psd", "cmd_acf",
@@ -187,7 +192,7 @@ def _load_series(config: RunConfig):
 
 def cmd_psd(config: RunConfig) -> int:
     series = _load_series(config)
-    avg = band_average(periodogram(series), config.band_width)
+    avg = _band_spectrum(series, config.band_width)
     write_csv(config.output, "omega,power", avg.omegas, avg.powers)
     print(f"OK psd n_bands={len(avg)} band_width={config.band_width} "
           f"out={config.output}")
@@ -365,8 +370,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return _DISPATCH[config.command](config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
-from scipy.signal import lfilter
 
 from .series import IncrementSeries, TimeSeries
 from .streams import GaussianStream
@@ -45,6 +43,9 @@ __all__ = [
 ]
 
 _INITS = ("stationary", "zero")
+
+# exp(-x) is subnormal (or zero) for x beyond this, about 708.4.
+_LOG_TINY = -np.log(np.finfo(np.float64).tiny)
 
 
 def _check_phi(phi):
@@ -142,6 +143,16 @@ NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
 # samplers
 # ---------------------------------------------------------------------------
 
+def lfilter(b, a, x, zi=None):
+    """``scipy.signal.lfilter``, imported on first call.
+
+    Only the filtering samplers need scipy, so the analysis commands never
+    pay for its import.
+    """
+    from scipy.signal import lfilter as _lfilter
+    return _lfilter(b, a, x, zi=zi)
+
+
 def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.ndarray:
     """x_{k+1} = coeff * x_k + scale * z_k, returning [x0, x1, ..., x_n]."""
     out = np.empty(z.size + 1)
@@ -222,6 +233,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
         if n >= 2**14:
             raise RuntimeError(
                 f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
+        from scipy.linalg import cholesky, toeplitz
         cov = toeplitz(gamma[:n])
         values = cholesky(cov, lower=True) @ stream.fill(n)
         return IncrementSeries(dt=dt, values=values * dt**hurst, model=Fgn(hurst))
@@ -265,12 +277,13 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
     Equals ``(1/theta) exp(-theta tau) (1 - cosh(theta dt))``, evaluated in
     the identical form ``-expm1(-theta dt)^2 exp(-theta (tau - dt)) / (2 theta)``,
     which is free of cancellation (it survives ``theta*dt`` down to the
-    underflow threshold).  Non-overlapping OU increments are anticorrelated:
-    the result is strictly negative wherever the true magnitude is above the
-    smallest subnormal (about ``exp(-744.4)``), provided
-    ``expm1(-theta dt)^2 / (2 theta) <= 1`` (true for ``theta >= 1/2`` or
-    ``theta dt^2 <= 2``), so that the exponential factor cannot underflow
-    before the product does.  Below that magnitude it rounds to ``-0.0``.
+    underflow threshold).  Where ``exp(-theta (tau - dt))`` falls below the
+    normal range, it would lose digits or underflow before the product is
+    formed, so there the result is one exponential of the summed
+    log-magnitude.  Non-overlapping OU increments are anticorrelated: the
+    result is strictly negative wherever the true magnitude is above the
+    smallest subnormal (about ``exp(-744.4)``); below that it rounds to
+    ``-0.0``.
     """
     _check_theta(theta)
     dt = float(dt)
@@ -279,7 +292,13 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < dt):
         raise ValueError(f"tau must be >= dt={dt} (non-overlapping increments)")
-    out = -np.expm1(-theta * dt) ** 2 * np.exp(-theta * (tau - dt)) / (2.0 * theta)
+    decay = theta * (tau - dt)
+    out = -np.expm1(-theta * dt) ** 2 * np.exp(-decay) / (2.0 * theta)
+    deep = decay > _LOG_TINY
+    if np.any(deep):
+        with np.errstate(divide="ignore"):
+            log_lead = 2.0 * np.log(-np.expm1(-theta * dt)) - np.log(2.0 * theta)
+        out = np.where(deep, -np.exp(log_lead - decay), out)
     return out if out.ndim else float(out)
 
 

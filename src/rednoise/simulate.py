@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .models import _ar1_recursion
+from .models import _ar1_recursion, lfilter
 from .series import IncrementSeries, TimeSeries
 from .streams import GaussianStream
 

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rednoise
 from rednoise import (Ar1Driven, DiffU, GaussianStream, IncrementSeries,
                       RedOuDt, band_average, empirical_acf, increments,
                       load_values, periodogram)
@@ -152,6 +157,51 @@ def test_error_exits(tmp_path, capsys):
     code, _, err = run(capsys, "acf", "--in", str(raw),
                        "--out", str(tmp_path / "a.csv"))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("exc, cause", [
+    (RuntimeError("circulant embedding not nonnegative definite"),
+     "error: circulant embedding not nonnegative definite\n"),
+    (RuntimeError(), "error: RuntimeError\n"),
+    (MemoryError("Unable to allocate 24.0 TiB"),
+     "error: out of memory: Unable to allocate 24.0 TiB\n"),
+    (MemoryError(), "error: out of memory: allocation failed\n"),
+])
+def test_sampler_failures_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                               exc, cause):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr("rednoise.cli.increments", fail)
+    code, out, err = run(capsys, "generate", "--model", "model=fgn hurst=0.9",
+                         "--n", "10", "--out", str(tmp_path / "f.f64le"))
+    assert code == 2 and out == "" and err == cause
+
+
+def test_analysis_commands_never_import_scipy(tmp_path):
+    # scipy is loaded only by the filtering samplers; a file analysis and an
+    # fGn sample (FFT only) must leave it unloaded
+    script = f"""
+import sys
+from rednoise.cli import main
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import"
+d = {str(tmp_path)!r}
+for argv in (
+        ["generate", "--model", "model=fgn hurst=0.7", "--n", "4096",
+         "--dt", "0.5", "--out", d + "/f.csv"],
+        ["psd", "--in", d + "/f.csv", "--band-width", "8", "--out", d + "/p.csv"],
+        ["acf", "--in", d + "/f.csv", "--out", d + "/a.csv"],
+        ["slope", "--in", d + "/p.csv", "--omega-min", "0.1",
+         "--omega-max", "6"]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(rednoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,21 @@ def test_ou_increment_cov_always_negative(theta, dt, k):
         assert got <= 0 and np.signbit(got)
 
 
+def test_ou_increment_cov_large_lead_does_not_underflow_early():
+    # theta=1e-6, dt=1e5: expm1(-theta dt)^2 / (2 theta) ~ 4.5e3 > 1, so
+    # exp(-theta (tau - dt)) ~ e^-750 underflows before the product would;
+    # the true value is -8.61e-323 (log-magnitude -741.58), 17.4 subnormal
+    # units, which rounds to 17
+    got = ou_increment_cov(1e-6, 1e5, 7.5e8 + 1e5)
+    assert got == -17 * 5e-324
+    # the two evaluation forms meet without a seam at exp(-708.4)
+    decay = np.array([700.0, 708.0, 708.5, 709.0, 720.0])
+    got = ou_increment_cov(1e-6, 1e5, 1e5 + decay / 1e-6)
+    half = np.exp(-decay / 2)       # normal, so only the last product rounds
+    expect = -np.expm1(-0.1) ** 2 / 2e-6 * half * half
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+
 def test_ou_increment_cov_tiny_step_stability():
     # naive (1 - cosh) loses all precision near theta*dt ~ 1e-8; the stable
     # form must stay on the asymptote -(theta dt^2 / 2) e^{-theta tau}

@@ -135,3 +135,27 @@ def test_write_csv_round_trips_float64(tmp_path):
     write_csv(path, "t,value", np.arange(4.0), values)
     loaded, _ = load_values(path, dt=1.0)
     np.testing.assert_array_equal(loaded, values)
+
+
+def _reference_csv(header, *columns):
+    lines = [header] + [",".join(f"{c[i]:.16e}" for c in columns)
+                        for i in range(len(columns[0]))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# block-ragged lengths around the 4096-row formatting block
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("n_cols", [1, 2, 3])
+def test_write_csv_bytes_match_per_row_format(tmp_path, n, n_cols):
+    special = [0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e22, 1.0 / 3.0]
+    rng = np.random.default_rng(n)
+    columns = []
+    for j in range(n_cols):
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        col[:len(special)] = np.roll(special, j)[:n]
+        columns.append(col)
+    header = ",".join("abc"[:n_cols])
+    path = tmp_path / "t.csv"
+    write_csv(path, header, *columns)
+    assert path.read_bytes() == _reference_csv(header, *columns)

@@ -1,7 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from rednoise import spectral
 from rednoise import (Ar1Driven, AvgSpectrum, DiffU, GaussianStream, Mixed,
                       Periodogram, RedOuDt, TimeSeries, White, ar1_sample,
                       band_average, empirical_acf, fgn_sample, increments,
@@ -105,6 +109,46 @@ def test_band_average_preserves_covered_mean():
     avg = band_average(pg, bw)
     covered = pg.powers[:len(avg.powers) * bw]
     assert avg.powers.mean() == pytest.approx(covered.mean(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# streamed band spectrum
+# ---------------------------------------------------------------------------
+
+def _same_bits(series, band_width):
+    got = spectral._band_spectrum(series, band_width)
+    ref = band_average(periodogram(series), band_width)
+    assert got.band_width == ref.band_width
+    assert got.omegas.tobytes() == ref.omegas.tobytes()
+    assert got.powers.tobytes() == ref.powers.tobytes()
+
+
+# 75,000 and 75,001 bins: with 1000-bin bands, band 65 holds bins
+# 65,001..66,000 and so straddles bin 2**16 = 65,536
+@pytest.mark.parametrize("n", [150_001, 150_002])
+@pytest.mark.parametrize("bw", [1, 3, 1000, "half"])
+def test_band_spectrum_is_band_average_bit_for_bit(n, bw):
+    series = _series(GaussianStream(n).fill(n), 0.1)
+    _same_bits(series, n // 2 if bw == "half" else bw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3000), bw=st.integers(1, 1500),
+       chunk=st.integers(1, 200), dt=st.floats(1e-3, 1e3))
+def test_band_spectrum_matches_for_any_chunking(n, bw, chunk, dt):
+    # small chunks put many chunk edges, and a partial last chunk, in range
+    series = _series(GaussianStream(n).fill(n) * 1e3, dt)
+    with patch.object(spectral, "_BAND_CHUNK", chunk):
+        _same_bits(series, min(bw, n // 2))
+
+
+def test_band_spectrum_rejects_what_the_reference_rejects():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        spectral._band_spectrum(_series([1.0]), 1)
+    series = _series(GaussianStream(4).fill(64))
+    for bw in (0, 33):
+        with pytest.raises(ValueError, match="band_width"):
+            spectral._band_spectrum(series, bw)
 
 
 # ---------------------------------------------------------------------------
