@@ -10,8 +10,8 @@ Every command is a pure function of its flags and seed: re-running writes
 byte-identical files.  Exit code 0 means all internal assertions passed;
 failures print a one-line ``FAIL <command> reason=...`` summary and exit 1;
 usage, data and resource errors (including a failed sampler or an
-allocation that does not fit in memory) print a one-line ``error: ...``
-and exit 2, never a traceback.
+allocation that does not fit in memory), and any other exception a command
+raises, print a one-line ``error: ...`` and exit 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -376,6 +376,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # an unexpected failure still ends in one line and exit 2, never a
+        # traceback; SystemExit and KeyboardInterrupt are not Exceptions
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

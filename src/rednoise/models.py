@@ -44,8 +44,13 @@ __all__ = [
 
 _INITS = ("stationary", "zero")
 
-# exp(-x) is subnormal (or zero) for x beyond this, about 708.4.
-_LOG_TINY = -np.log(np.finfo(np.float64).tiny)
+# The smallest normal double; exp(-x) is subnormal (or zero) for x beyond
+# _LOG_TINY, about 708.4.
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = -np.log(_TINY)
+
+# Points per block when fgn_sample fills its workspace.
+_FGN_BLOCK = 2**16
 
 
 def _check_phi(phi):
@@ -56,6 +61,10 @@ def _check_phi(phi):
 def _check_theta(theta):
     if not (np.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be positive, got {theta}")
+    if theta < _TINY:
+        # 1/(2 theta) overflows and exp(-theta dt) rounds to 1
+        raise ValueError(
+            f"theta must be at least the smallest normal double {_TINY}, got {theta}")
 
 
 def _check_hurst(hurst):
@@ -212,6 +221,13 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
     (size 2n) consumes exactly ``2n`` draws; should the embedding fail to be
     nonnegative definite — not expected for this covariance — a dense
     Cholesky fallback (``n`` draws) is used for ``n < 2**14``.
+
+    Working memory: one 2n-point complex workspace, which holds in turn the
+    embedding's first row, its eigenvalues and the sample's spectrum; the
+    n returned values; blocks of ``_FGN_BLOCK`` points; and numpy's FFT
+    scratch, which for an in-place transform is about twice the workspace.
+    The output is the same, bit for bit, as building each of those arrays
+    whole.
     """
     _check_hurst(hurst)
     dt = float(dt)
@@ -224,31 +240,43 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
         values = stream.fill(1) * dt**hurst
         return IncrementSeries(dt=dt, values=values, model=Fgn(hurst))
 
-    two_h = 2.0 * hurst
-    k = np.arange(n + 1, dtype=np.float64)
-    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
-    first_row = np.concatenate([gamma, gamma[n - 1:0:-1]])     # length 2n
-    eigs = np.fft.fft(first_row).real
+    m2 = 2 * n
+    w = np.zeros(m2, dtype=np.complex128)
+    row = w.real                  # first row [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
+    for a in range(0, n + 1, _FGN_BLOCK):
+        b = min(a + _FGN_BLOCK, n + 1)
+        gamma = fgn_increment_cov(hurst, 1.0, np.arange(a, b))
+        row[a:b] = gamma
+        lo, hi = max(a, 1), min(b, n)
+        if lo < hi:
+            row[m2 - hi + 1:m2 - lo + 1] = gamma[lo - a:hi - a][::-1]
+    np.fft.fft(w, out=w)
+    eigs = w.real
     if eigs.min() < -1e-9 * eigs.max():
         if n >= 2**14:
             raise RuntimeError(
                 f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
         from scipy.linalg import cholesky, toeplitz
-        cov = toeplitz(gamma[:n])
+        cov = toeplitz(fgn_increment_cov(hurst, 1.0, np.arange(n)))
         values = cholesky(cov, lower=True) @ stream.fill(n)
         return IncrementSeries(dt=dt, values=values * dt**hurst, model=Fgn(hurst))
-    eigs = np.clip(eigs, 0.0, None)
 
-    m2 = 2 * n
-    z = stream.fill(m2)
-    w = np.empty(m2, dtype=np.complex128)
-    w[0] = np.sqrt(eigs[0] / m2) * z[0]
-    w[n] = np.sqrt(eigs[n] / m2) * z[1]
-    half = np.sqrt(eigs[1:n] / (2.0 * m2))
-    w[1:n] = half * (z[2::2] + 1j * z[3::2])
-    w[n + 1:] = np.conj(w[1:n][::-1])
-    values = np.fft.fft(w).real[:n]
-    return IncrementSeries(dt=dt, values=values * dt**hurst, model=Fgn(hurst))
+    # Hermitian spectrum, w[m2 - j] = conj(w[j]), from the draws of one
+    # fill(m2): z_0 scales w[0], z_1 w[n], and (z_2j, z_2j+1) w[j].  Each
+    # eigenvalue is read before its slot is overwritten; the mirrored slots
+    # hold eigenvalues past n, which are not needed.
+    ends = np.clip(eigs[[0, n]], 0.0, None)
+    z = stream.fill(2)
+    w[0] = np.sqrt(ends[0] / m2) * z[0]
+    w[n] = np.sqrt(ends[1] / m2) * z[1]
+    for a in range(1, n, _FGN_BLOCK):
+        b = min(a + _FGN_BLOCK, n)
+        half = np.sqrt(np.clip(eigs[a:b], 0.0, None) / (2.0 * m2))
+        z = stream.fill(2 * (b - a))
+        w[a:b] = half * (z[::2] + 1j * z[1::2])
+        w[m2 - b + 1:m2 - a + 1] = np.conj(w[a:b][::-1])
+    np.fft.fft(w, out=w)
+    return IncrementSeries(dt=dt, values=w.real[:n] * dt**hurst, model=Fgn(hurst))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +374,8 @@ def increments(model: NoiseModel, dt: float, n: int,
       stationary, then innovations).
     - ``Mixed``: the stationary initial ``U_0`` first, then the n Brownian
       increments; U is advanced by explicit Euler with the *same* increments
-      that appear in dY (the coupling is the point of this model).
+      that appear in dY (the coupling is the point of this model).  Needs
+      ``theta*dt < 1``, so that the Euler coefficient stays positive.
     - ``Ar1Driven``: the AR(1) path; only ``dt == 1`` is accepted because the
       continuum scaling of AR(1) noise is not well defined.
     - ``Fgn``: 2n draws (circulant embedding).
@@ -367,6 +396,12 @@ def increments(model: NoiseModel, dt: float, n: int,
         u = ou_exact_sample(model.theta, dt, n + 1, stream, init=model.init)
         values = np.diff(u.values)
     elif isinstance(model, Mixed):
+        if model.theta * dt >= 1.0:
+            # the Euler coefficient 1 - theta*dt would be <= 0: U alternates
+            # in sign (and diverges from theta*dt = 2)
+            raise ValueError(
+                "Mixed advances U by Euler and needs theta*dt < 1, "
+                f"got theta*dt={model.theta * dt}")
         u0 = stream.normal() / np.sqrt(2.0 * model.theta)
         dw = np.sqrt(dt) * stream.fill(n)
         # U_{k+1} = (1 - theta dt) U_k + dW_k; dY uses the pre-update U_k

@@ -118,6 +118,11 @@ def simulate_discrete(params: DiscreteSystemParams, n: int,
     return TimeSeries(dt=1.0, values=x[:n])
 
 
+def _check_euler_step(lam: float, dt: float):
+    if lam * dt >= 2.0:
+        raise ValueError(f"Euler diverges for lam*dt >= 2, got lam*dt={lam * dt}")
+
+
 def euler_integrate(lam: float, sigma: float, x0: float,
                     forcing: IncrementSeries | TimeSeries) -> TimeSeries:
     """Explicit Euler for ``dX = -lam X dt + sigma dY`` over a forcing series.
@@ -125,10 +130,11 @@ def euler_integrate(lam: float, sigma: float, x0: float,
     ``X_{k+1} = X_k - lam X_k dt + sigma dY_k``; returns the n+1 values
     ``X_0 .. X_n`` for n forcing increments, on the forcing grid.  ``lam = 0``
     turns this into a plain cumulative sum (scaled random walk for white
-    forcing).
+    forcing).  ``lam*dt`` must stay below 2, where the Euler step diverges.
     """
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    _check_euler_step(lam, forcing.dt)
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not np.isfinite(x0):
@@ -147,8 +153,9 @@ def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
     recursion at ``dt_fine``; X is advanced by explicit Euler
     ``X_{k+1} = (1 - lam dt_fine) X_k + sigma U_k dt_fine``; every
     ``subsample``-th fine value of X is emitted, ``n_out`` values in all
-    (the first is ``x0``).  Warns if ``lam * dt_fine > 0.05``, where Euler
-    bias starts to be visible at the tolerances used elsewhere.
+    (the first is ``x0``).  Rejects ``lam * dt_fine >= 2``, where Euler
+    diverges, and warns if ``lam * dt_fine > 0.05``, where Euler bias starts
+    to be visible at the tolerances used elsewhere.
 
     The path is generated in blocks of ``_CHUNK`` fine steps with filter
     state carried across blocks; the output is bit-for-bit the same as
@@ -159,6 +166,7 @@ def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
     dt = config.dt_fine
     sub = int(config.subsample)
     n_out = int(config.n_out)
+    _check_euler_step(lam, dt)
     if lam * dt > 0.05:
         warnings.warn(
             f"lam*dt_fine = {lam * dt:.3g} > 0.05: Euler discretization error "

@@ -155,3 +155,40 @@ def fgn_cov_brute(hurst: float, dt: float, m: int) -> float:
     t0, t1 = k * dt, (k + 1) * dt
     s0, s1 = (k + m) * dt, (k + m + 1) * dt
     return c(t1, s1) - c(t1, s0) - c(t0, s1) + c(t0, s0)
+
+
+def fgn_sample_reference(hurst: float, dt: float, n: int, stream) -> np.ndarray:
+    """Circulant-embedding fGn sampler written with full-length arrays.
+
+    The straightforward form of ``rednoise.fgn_sample``: every intermediate
+    (the first row, its transform, the noise, the spectrum) is built whole.
+    It takes the same draws from ``stream`` in the same order and does the
+    same floating-point operations, so the package's in-place sampler must
+    return the same bytes.  Returns the ``n`` values.
+    """
+    if n == 1:
+        return stream.fill(1) * dt**hurst
+    two_h = 2.0 * hurst
+    k = np.arange(n + 1, dtype=np.float64)
+    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    first_row = np.concatenate([gamma, gamma[n - 1:0:-1]])     # length 2n
+    eigs = np.fft.fft(first_row).real
+    if eigs.min() < -1e-9 * eigs.max():
+        if n >= 2**14:
+            raise RuntimeError(
+                f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
+        from scipy.linalg import cholesky, toeplitz
+        cov = toeplitz(gamma[:n])
+        return cholesky(cov, lower=True) @ stream.fill(n) * dt**hurst
+    eigs = np.clip(eigs, 0.0, None)
+
+    m2 = 2 * n
+    z = stream.fill(m2)
+    w = np.empty(m2, dtype=np.complex128)
+    w[0] = np.sqrt(eigs[0] / m2) * z[0]
+    w[n] = np.sqrt(eigs[n] / m2) * z[1]
+    half = np.sqrt(eigs[1:n] / (2.0 * m2))
+    w[1:n] = half * (z[2::2] + 1j * z[3::2])
+    w[n + 1:] = np.conj(w[1:n][::-1])
+    values = np.fft.fft(w).real[:n]
+    return values * dt**hurst

@@ -166,6 +166,9 @@ def test_error_exits(tmp_path, capsys):
     (MemoryError("Unable to allocate 24.0 TiB"),
      "error: out of memory: Unable to allocate 24.0 TiB\n"),
     (MemoryError(), "error: out of memory: allocation failed\n"),
+    (KeyError("hurst"), "error: KeyError: 'hurst'\n"),
+    (ZeroDivisionError("float division by zero"),
+     "error: ZeroDivisionError: float division by zero\n"),
 ])
 def test_sampler_failures_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                exc, cause):
@@ -175,6 +178,19 @@ def test_sampler_failures_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     code, out, err = run(capsys, "generate", "--model", "model=fgn hurst=0.9",
                          "--n", "10", "--out", str(tmp_path / "f.f64le"))
     assert code == 2 and out == "" and err == cause
+
+
+@pytest.mark.parametrize("model, cause", [
+    ("model=mixed theta=15 gamma=0.5", "theta*dt=1.5"),
+    ("model=mixed theta=25 gamma=0.5", "theta*dt=2.5"),
+    ("model=red theta=1e-320", "smallest normal double"),
+])
+def test_out_of_range_products_exit_2(tmp_path, capsys, model, cause):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "generate", "--model", model, "--dt", "0.1",
+                         "--n", "100", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: ") and cause in err and err.count("\n") == 1
 
 
 def test_analysis_commands_never_import_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +35,35 @@ from rednoise import (Ar1Driven, DiffU, Fgn, GaussianStream, Mixed, RedOuDt,
 def test_invalid_params_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RedOuDt(1e-320),
+    lambda: DiffU(5e-324),
+    lambda: Mixed(1e-310, 0.5),
+    lambda: ou_autocov(1e-320, 1.0),
+])
+def test_subnormal_theta_rejected(build):
+    with pytest.raises(ValueError, match="smallest normal"):
+        build()
+
+
+def test_smallest_normal_theta_accepted():
+    theta = np.finfo(np.float64).tiny
+    assert RedOuDt(theta).theta == theta
+    assert ou_autocov(theta, 0.0) == 1.0 / (2.0 * theta)
+
+
+@pytest.mark.parametrize("theta, dt, product", [
+    (15.0, 0.1, "1.5"), (25.0, 0.1, "2.5"), (10.0, 0.1, "1.0")])
+def test_mixed_rejects_theta_dt_from_one(theta, dt, product):
+    with pytest.raises(ValueError, match=rf"theta\*dt={product}"):
+        increments(Mixed(theta, 0.5), dt, 100, GaussianStream(0))
+
+
+def test_mixed_accepts_theta_dt_below_one():
+    incr = increments(Mixed(9.99, 0.5), 0.1, 100, GaussianStream(0))
+    assert np.all(np.isfinite(incr.values))
 
 
 def test_ar1_driven_requires_unit_grid():
@@ -220,6 +251,53 @@ def test_fgn_deep_lag_covariances():
     for m in (1, 2, 5, 10):
         est = np.mean(x[:-m] * x[m:])
         assert est == pytest.approx(fgn_increment_cov(0.8, 1.0, m), rel=0.10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 1001, 2**16 + 1])
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])
+def test_fgn_sample_matches_full_length_reference(n, hurst):
+    # the in-place, blocked sampler gives the reference's bytes and draws;
+    # 2**16 + 1 puts a block boundary inside both the row and the spectrum
+    for dt in (1.0, 0.5):
+        for seed in (0, 5):
+            stream, ref_stream = GaussianStream(seed), GaussianStream(seed)
+            got = fgn_sample(hurst, dt, n, stream).values
+            want = oracles.fgn_sample_reference(hurst, dt, n, ref_stream)
+            assert got.tobytes() == want.tobytes()
+            assert stream.count_drawn == ref_stream.count_drawn == 2 * n
+
+
+def test_fgn_cholesky_fallback_matches_reference(monkeypatch):
+    # corrupt one eigenvalue of the embedding, so both samplers must take the
+    # dense fallback (n draws) below 2**14 and refuse from 2**14
+    fft = np.fft.fft
+
+    def broken(a, *args, **kwargs):
+        out = fft(a, *args, **kwargs)
+        out[1] = -1.0
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", broken)
+    stream, ref_stream = GaussianStream(3), GaussianStream(3)
+    got = fgn_sample(0.7, 0.5, 1000, stream).values
+    want = oracles.fgn_sample_reference(0.7, 0.5, 1000, ref_stream)
+    assert got.tobytes() == want.tobytes()
+    assert stream.count_drawn == ref_stream.count_drawn == 1000
+    with pytest.raises(RuntimeError, match="not nonnegative definite"):
+        fgn_sample(0.7, 1.0, 2**14, GaussianStream(3))
+
+
+def test_fgn_sample_traced_peak_per_sample():
+    # the 2n-point complex workspace is 32 bytes per sample and the output 8
+    # (numpy's FFT scratch is not traced); the full-length form peaks at 145
+    n = 2**17
+    tracemalloc.start()
+    try:
+        fgn_sample(0.9, 1.0, n, GaussianStream(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 96
 
 
 def test_mixed_with_opposite_gamma_suppresses_low_frequencies():

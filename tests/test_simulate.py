@@ -118,6 +118,14 @@ def test_euler_rejects_bad_input():
         euler_integrate(float("inf"), 1.0, 0.0, forcing)
     with pytest.raises(ValueError):
         euler_integrate(0.1, float("nan"), 0.0, forcing)
+    with pytest.raises(ValueError, match=r"lam\*dt=2.0"):
+        euler_integrate(20.0, 1.0, 0.0, forcing)
+    with pytest.raises(ValueError, match=r"lam\*dt=3.0"):
+        simulate_continuous(ContinuousSystemParams(30.0, 0.1, 1.0),
+                            SimConfig(0.1, 10, 5), GaussianStream(0))
+    # just below 2 the step is stable, if oscillating
+    out = euler_integrate(19.9, 0.0, 1.0, forcing).values
+    assert np.all(np.diff(np.abs(out)) < 0.0)
 
 
 def test_euler_strong_convergence_rate():
