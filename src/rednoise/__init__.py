@@ -10,17 +10,15 @@ from .models import (Ar1Driven, DiffU, Fgn, Mixed, NoiseModel, RedOuDt, White,
                      fgn_sample, format_model, increments, ou_autocov,
                      ou_exact_sample, ou_increment_cov, parse_model,
                      theoretical_acf, theoretical_psd)
-from .plateau import (FiniteTimeSpec, PlateauReport, finite_psd_curve,
-                      finite_psd_theoretical, plateau_experiment,
-                      psd_kernel_auto, psd_kernel_cross)
-from .series import (IncrementSeries, TimeSeries, load_values, save_series,
-                     write_csv)
+from .plateau import (PlateauReport, finite_psd_theoretical,
+                      plateau_experiment, psd_kernel_auto, psd_kernel_cross)
+from .series import TimeSeries, load_values, save_series, write_csv
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams, SimConfig,
                        continuous_from_discrete, euler_integrate,
                        simulate_continuous, simulate_discrete,
                        stationary_autocorr)
-from .spectral import (AcfEstimate, AvgSpectrum, Periodogram, band_average,
-                       empirical_acf, loglog_slope, periodogram)
+from .spectral import (AcfEstimate, AvgSpectrum, band_average, empirical_acf,
+                       loglog_slope, periodogram)
 from .streams import GaussianStream
 from .figures import (AcfComparison, RestoringResult, SpectraResult,
                       SpectrumComparison, restoring_run, spectra_run)
@@ -33,15 +31,14 @@ __all__ = [
     "fgn_sample", "format_model", "increments", "ou_autocov",
     "ou_exact_sample", "ou_increment_cov", "parse_model", "theoretical_acf",
     "theoretical_psd",
-    "FiniteTimeSpec", "PlateauReport", "finite_psd_curve",
-    "finite_psd_theoretical", "plateau_experiment", "psd_kernel_auto",
-    "psd_kernel_cross",
-    "IncrementSeries", "TimeSeries", "load_values", "save_series", "write_csv",
+    "PlateauReport", "finite_psd_theoretical", "plateau_experiment",
+    "psd_kernel_auto", "psd_kernel_cross",
+    "TimeSeries", "load_values", "save_series", "write_csv",
     "ContinuousSystemParams", "DiscreteSystemParams", "SimConfig",
     "continuous_from_discrete", "euler_integrate", "simulate_continuous",
     "simulate_discrete", "stationary_autocorr",
-    "AcfEstimate", "AvgSpectrum", "Periodogram", "band_average",
-    "empirical_acf", "loglog_slope", "periodogram",
+    "AcfEstimate", "AvgSpectrum", "band_average", "empirical_acf",
+    "loglog_slope", "periodogram",
     "GaussianStream",
     "AcfComparison", "RestoringResult", "SpectraResult", "SpectrumComparison",
     "restoring_run", "spectra_run",

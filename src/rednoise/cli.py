@@ -18,24 +18,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .figures import restoring_run, spectra_run
-from .models import NoiseModel, increments, parse_model, RedOuDt
+from .models import RedOuDt, increments, parse_model
 from .plateau import plateau_experiment
-from .series import FORMATS, IncrementSeries, load_values, save_series, write_csv
+from .series import FORMATS, TimeSeries, load_values, save_series, write_csv
 # periodogram and band_average are not called here; they stay importable
 # under these names because bench/traced_cli.py wraps them in this module.
 from .spectral import (AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
                        empirical_acf, loglog_slope, periodogram)
 from .streams import GaussianStream
 
-__all__ = ["RunConfig", "main", "cmd_generate", "cmd_psd", "cmd_acf",
-           "cmd_slope", "cmd_fig1", "cmd_fig2", "cmd_theorem"]
+__all__ = ["main", "cmd_generate", "cmd_psd", "cmd_acf", "cmd_slope",
+           "cmd_fig1", "cmd_fig2", "cmd_theorem"]
 
 # Default seeds for the reproduction commands.  The full-scale tolerances in
 # the benchmark commands are tight enough that individual seeds can land
@@ -55,31 +53,6 @@ QUICK_FIG2_N = 2_000_000
 QUICK_THEOREM = {"replicas": 32, "t": 500.0}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of flags for one command invocation."""
-
-    command: str
-    model: NoiseModel | None = None
-    n: int = 0
-    dt: float = 1.0
-    seed: int = 0
-    band_width: int = 1
-    output: str | None = None
-    fmt: str = "csv"
-    quick: bool = False
-    input_path: str | None = None
-    opts: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.band_width < 1:
-            raise ValueError(f"band_width must be at least 1, got {self.band_width}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rednoise",
@@ -96,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=FORMATS, default=None,
                    help="csv (default) or f64le raw doubles")
+    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("psd", help="band-averaged periodogram of a series file")
     p.add_argument("--in", dest="input_path", required=True,
@@ -107,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-width", type=int, default=1,
                    help="periodogram bins per averaged band (default 1)")
     p.add_argument("--out", required=True, help="output CSV (omega,power)")
+    p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("acf", help="empirical autocovariance of a series file")
     p.add_argument("--in", dest="input_path", required=True)
@@ -117,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("covariance", "correlation"),
                    default="covariance")
     p.add_argument("--out", required=True, help="output CSV (lag,value)")
+    p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("slope", help="log-log slope of a spectrum CSV")
     p.add_argument("--in", dest="input_path", required=True,
@@ -125,6 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-max", type=float, required=True)
     p.add_argument("--out", default=None,
                    help="optional CSV to hold the fitted (slope,intercept)")
+    p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser(
         "fig1", help="spectra of the four benchmark noise differentials")
@@ -137,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--quick", action="store_true",
                    help=f"n={QUICK_FIG1_N} instead of 2e7 (tolerance 15%%)")
+    p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser(
         "fig2", help="discrete vs continuous restoring-system autocorrelation")
@@ -151,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--quick", action="store_true",
                    help=f"n={QUICK_FIG2_N} instead of 2e7 (tolerance 3%%)")
+    p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser(
         "theorem", help="high-frequency plateau of drift + Brownian noise")
@@ -165,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV")
     p.add_argument("--quick", action="store_true",
                    help="replicas=32, T=500 instead of 64 and 1000")
+    p.set_defaults(func=cmd_theorem)
     return parser
 
 
@@ -172,64 +152,65 @@ def _build_parser() -> argparse.ArgumentParser:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(config: RunConfig) -> int:
-    stream = GaussianStream(config.seed)
-    incr = increments(config.model, config.dt, config.n, stream)
-    fmt = config.fmt
-    save_series(config.output, incr, fmt)
+def cmd_generate(args: argparse.Namespace) -> int:
+    model = parse_model(args.model)
+    fmt = args.format or ("f64le" if args.out.endswith(".f64le") else "csv")
+    incr = increments(model, args.dt, args.n, GaussianStream(args.seed))
+    save_series(args.out, incr, fmt)
     mean = float(np.mean(incr.values))
     var = float(np.var(incr.values))
-    print(f"OK generate n={config.n} dt={config.dt:g} seed={config.seed} "
-          f"mean={mean:.6e} variance={var:.6e} out={config.output}")
+    print(f"OK generate n={args.n} dt={args.dt:g} seed={args.seed} "
+          f"mean={mean:.6e} variance={var:.6e} out={args.out}")
     return 0
 
 
-def _load_series(config: RunConfig):
-    values, dt = load_values(config.input_path, fmt=config.opts.get("fmt_in"),
-                             dt=config.opts.get("dt_in"))
-    return IncrementSeries(dt=dt, values=values)
+def _load_series(args: argparse.Namespace) -> TimeSeries:
+    values, dt = load_values(args.input_path, fmt=args.format, dt=args.dt)
+    return TimeSeries(dt=dt, values=values)
 
 
-def cmd_psd(config: RunConfig) -> int:
-    series = _load_series(config)
-    avg = _band_spectrum(series, config.band_width)
-    write_csv(config.output, "omega,power", avg.omegas, avg.powers)
-    print(f"OK psd n_bands={len(avg)} band_width={config.band_width} "
-          f"out={config.output}")
+def cmd_psd(args: argparse.Namespace) -> int:
+    avg = _band_spectrum(_load_series(args), args.band_width)
+    write_csv(args.out, "omega,power", avg.omegas, avg.powers)
+    print(f"OK psd n_bands={len(avg)} band_width={args.band_width} "
+          f"out={args.out}")
     return 0
 
 
-def cmd_acf(config: RunConfig) -> int:
-    series = _load_series(config)
-    est = empirical_acf(series, int(config.opts["max_lag"]),
-                        mode=config.opts["mode"])
-    write_csv(config.output, "lag,value", est.lags, est.values)
-    print(f"OK acf max_lag={int(config.opts['max_lag'])} mode={est.mode} "
-          f"out={config.output}")
+def cmd_acf(args: argparse.Namespace) -> int:
+    est = empirical_acf(_load_series(args), args.max_lag, mode=args.mode)
+    write_csv(args.out, "lag,value", est.lags, est.values)
+    print(f"OK acf max_lag={args.max_lag} mode={est.mode} out={args.out}")
     return 0
 
 
-def cmd_slope(config: RunConfig) -> int:
-    data = np.loadtxt(config.input_path, delimiter=",", skiprows=1, ndmin=2)
+def cmd_slope(args: argparse.Namespace) -> int:
+    data = np.loadtxt(args.input_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
-        raise ValueError(f"{config.input_path}: expected CSV columns omega,power")
+        raise ValueError(f"{args.input_path}: expected CSV columns omega,power")
     spec = AvgSpectrum(omegas=data[:, 0], powers=data[:, 1], band_width=1)
-    slope, intercept = loglog_slope(spec, config.opts["omega_min"],
-                                    config.opts["omega_max"])
-    if config.output:
-        write_csv(config.output, "slope,intercept",
+    slope, intercept = loglog_slope(spec, args.omega_min, args.omega_max)
+    if args.out:
+        write_csv(args.out, "slope,intercept",
                   np.array([slope]), np.array([intercept]))
     print(f"OK slope slope={slope:.6f} intercept={intercept:.6f}")
     return 0
 
 
-def cmd_fig1(config: RunConfig) -> int:
-    n = QUICK_FIG1_N if config.quick else config.n
-    tol = 0.15 if config.quick else 0.10
-    result = spectra_run(theta=config.opts["theta"], gamma=config.opts["gamma"],
-                         n=n, dt=config.dt, band_width=config.band_width,
-                         seed=config.seed)
-    outdir = Path(config.output)
+def _length(args: argparse.Namespace, quick_n: int) -> int:
+    """``--n``, or ``quick_n`` under ``--quick``; a negative ``--n`` is
+    rejected either way."""
+    if args.n < 0:
+        raise ValueError(f"n must be at least 1, got {args.n}")
+    return quick_n if args.quick else args.n
+
+
+def cmd_fig1(args: argparse.Namespace) -> int:
+    n = _length(args, QUICK_FIG1_N)
+    tol = 0.15 if args.quick else 0.10
+    result = spectra_run(theta=args.theta, gamma=args.gamma, n=n, dt=args.dt,
+                         band_width=args.band_width, seed=args.seed)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for comp in result.comparisons:
         write_csv(outdir / f"{comp.name}.csv", "omega,empirical,theoretical",
@@ -248,16 +229,13 @@ def cmd_fig1(config: RunConfig) -> int:
     return 1
 
 
-def cmd_fig2(config: RunConfig) -> int:
-    n = QUICK_FIG2_N if config.quick else config.n
-    tol = 0.03 if config.quick else 0.01
-    result = restoring_run(psi=config.opts["psi"], phi=config.opts["phi"],
-                           sigma=config.opts["sigma"], n=n,
-                           dt_fine=config.opts["dt_fine"],
-                           subsample=int(config.opts["subsample"]),
-                           max_lag=int(config.opts["max_lag"]),
-                           seed=config.seed)
-    outdir = Path(config.output)
+def cmd_fig2(args: argparse.Namespace) -> int:
+    n = _length(args, QUICK_FIG2_N)
+    tol = 0.03 if args.quick else 0.01
+    result = restoring_run(psi=args.psi, phi=args.phi, sigma=args.sigma, n=n,
+                           dt_fine=args.dt_fine, subsample=args.subsample,
+                           max_lag=args.max_lag, seed=args.seed)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for comp in (result.discrete, result.continuous):
         write_csv(outdir / f"{comp.label}.csv", "tau,value",
@@ -280,22 +258,21 @@ def cmd_fig2(config: RunConfig) -> int:
     return 1
 
 
-def cmd_theorem(config: RunConfig) -> int:
-    replicas = int(config.opts["replicas"])
-    horizon = config.opts["horizon"]
-    if config.quick:
+def cmd_theorem(args: argparse.Namespace) -> int:
+    replicas, horizon = args.replicas, args.horizon
+    if args.quick:
         replicas = QUICK_THEOREM["replicas"]
         horizon = QUICK_THEOREM["t"]
     report = plateau_experiment(
-        RedOuDt(config.opts["theta"]), config.opts["beta"], horizon,
-        config.dt, omegas=(10.0, 15.0, 20.0, 25.0, 30.0), replicas=replicas,
-        stream=GaussianStream(config.seed))
-    if config.output:
-        write_csv(config.output, "omega,empirical,theoretical,plateau_target",
+        RedOuDt(args.theta), args.beta, horizon, args.dt,
+        omegas=(10.0, 15.0, 20.0, 25.0, 30.0), replicas=replicas,
+        stream=GaussianStream(args.seed))
+    if args.out:
+        write_csv(args.out, "omega,empirical,theoretical,plateau_target",
                   report.omegas, report.empirical, report.theoretical,
                   np.full(report.omegas.size, report.plateau_target))
     passed, detail = report.passed, report.detail
-    target = config.opts.get("assert_target")
+    target = args.assert_target
     if target is not None:
         # Explicit target overrides the built-in plateau/decay assertion.
         if target == 0.0:
@@ -318,58 +295,10 @@ def cmd_theorem(config: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cmd = args.command
-    if cmd == "generate":
-        fmt = args.format or ("f64le" if args.out.endswith(".f64le") else "csv")
-        return RunConfig(command=cmd, model=parse_model(args.model), n=args.n,
-                         dt=args.dt, seed=args.seed, output=args.out, fmt=fmt)
-    if cmd == "psd":
-        return RunConfig(command=cmd, band_width=args.band_width,
-                         output=args.out, input_path=args.input_path,
-                         opts={"fmt_in": args.format, "dt_in": args.dt})
-    if cmd == "acf":
-        return RunConfig(command=cmd, output=args.out,
-                         input_path=args.input_path,
-                         opts={"fmt_in": args.format, "dt_in": args.dt,
-                               "max_lag": args.max_lag, "mode": args.mode})
-    if cmd == "slope":
-        return RunConfig(command=cmd, output=args.out,
-                         input_path=args.input_path,
-                         opts={"omega_min": args.omega_min,
-                               "omega_max": args.omega_max})
-    if cmd == "fig1":
-        return RunConfig(command=cmd, n=args.n, dt=args.dt, seed=args.seed,
-                         band_width=args.band_width, output=args.out,
-                         quick=args.quick,
-                         opts={"theta": args.theta, "gamma": args.gamma})
-    if cmd == "fig2":
-        return RunConfig(command=cmd, n=args.n, seed=args.seed,
-                         output=args.out, quick=args.quick,
-                         opts={"psi": args.psi, "phi": args.phi,
-                               "sigma": args.sigma, "dt_fine": args.dt_fine,
-                               "subsample": args.subsample,
-                               "max_lag": args.max_lag})
-    if cmd == "theorem":
-        return RunConfig(command=cmd, dt=args.dt, seed=args.seed,
-                         output=args.out, quick=args.quick,
-                         opts={"theta": args.theta, "beta": args.beta,
-                               "horizon": args.horizon,
-                               "replicas": args.replicas,
-                               "assert_target": args.assert_target})
-    raise ValueError(f"unknown command {cmd!r}")
-
-
-_DISPATCH = {"generate": cmd_generate, "psd": cmd_psd, "acf": cmd_acf,
-             "slope": cmd_slope, "fig1": cmd_fig1, "fig2": cmd_fig2,
-             "theorem": cmd_theorem}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.command](config)
+        return args.func(args)
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)

@@ -137,7 +137,7 @@ def _acf_vs_theory(label: str, series: TimeSeries, burn_in: int, max_lag: int,
     tail = TimeSeries(dt=series.dt, values=series.values[burn_in:])
     est = empirical_acf(tail, max_lag, mode="correlation")
     taus = est.lags * series.dt
-    theory = np.array([stationary_autocorr(params, tau) for tau in taus])
+    theory = stationary_autocorr(params, taus)
     rel = np.abs(est.values - theory) / np.abs(theory)
     return AcfComparison(label=label, taus=taus, empirical=est.values,
                          theory=theory, max_rel_dev=float(rel.max()))

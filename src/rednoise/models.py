@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import IncrementSeries, TimeSeries
+from .series import TimeSeries
 from .streams import GaussianStream
 
 __all__ = [
@@ -188,6 +188,13 @@ def ar1_sample(phi: float, n: int, stream: GaussianStream,
     return TimeSeries(dt=1.0, values=_ar1_recursion(phi, 1.0, x0, stream.fill(n - 1)))
 
 
+def _ou_step(theta: float, dt: float) -> tuple[float, float]:
+    """Coefficient ``exp(-theta dt)`` and innovation scale
+    ``sqrt((1 - exp(-2 theta dt)) / (2 theta))`` of the exact OU step."""
+    return (np.exp(-theta * dt),
+            np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta)))
+
+
 def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
                     init: str = "stationary") -> TimeSeries:
     """Sample the OU process exactly on a grid of step ``dt``.
@@ -206,13 +213,12 @@ def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    coeff = np.exp(-theta * dt)
-    scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    coeff, scale = _ou_step(theta, dt)
     q0 = stream.normal() / np.sqrt(2.0 * theta) if init == "stationary" else 0.0
     return TimeSeries(dt=dt, values=_ar1_recursion(coeff, scale, q0, stream.fill(n - 1)))
 
 
-def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> IncrementSeries:
+def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeSeries:
     """Sample fractional Gaussian noise exactly by circulant embedding.
 
     Returns ``n`` stationary increments of fractional Brownian motion over
@@ -238,7 +244,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
         raise ValueError(f"n must be at least 1, got {n}")
     if n == 1:
         values = stream.fill(1) * dt**hurst
-        return IncrementSeries(dt=dt, values=values, model=Fgn(hurst))
+        return TimeSeries(dt=dt, values=values)
 
     m2 = 2 * n
     w = np.zeros(m2, dtype=np.complex128)
@@ -259,7 +265,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
         from scipy.linalg import cholesky, toeplitz
         cov = toeplitz(fgn_increment_cov(hurst, 1.0, np.arange(n)))
         values = cholesky(cov, lower=True) @ stream.fill(n)
-        return IncrementSeries(dt=dt, values=values * dt**hurst, model=Fgn(hurst))
+        return TimeSeries(dt=dt, values=values * dt**hurst)
 
     # Hermitian spectrum, w[m2 - j] = conj(w[j]), from the draws of one
     # fill(m2): z_0 scales w[0], z_1 w[n], and (z_2j, z_2j+1) w[j].  Each
@@ -276,7 +282,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> Incre
         w[a:b] = half * (z[::2] + 1j * z[1::2])
         w[m2 - b + 1:m2 - a + 1] = np.conj(w[a:b][::-1])
     np.fft.fft(w, out=w)
-    return IncrementSeries(dt=dt, values=w.real[:n] * dt**hurst, model=Fgn(hurst))
+    return TimeSeries(dt=dt, values=w.real[:n] * dt**hurst)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +370,7 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 def increments(model: NoiseModel, dt: float, n: int,
-               stream: GaussianStream) -> IncrementSeries:
+               stream: GaussianStream) -> TimeSeries:
     """Sample ``n`` increments ``dY_k`` of the given noise model at step ``dt``.
 
     Draw order per variant (all from ``stream``, in sequence):
@@ -417,7 +423,7 @@ def increments(model: NoiseModel, dt: float, n: int,
         return fgn_sample(model.hurst, dt, n, stream)
     else:
         raise TypeError(f"not a noise model: {model!r}")
-    return IncrementSeries(dt=dt, values=values, model=model)
+    return TimeSeries(dt=dt, values=values)
 
 
 def theoretical_psd(model: NoiseModel, omega) -> np.ndarray | float:

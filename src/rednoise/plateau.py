@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
-from .series import IncrementSeries
-from .spectral import Periodogram, band_average, loglog_slope, periodogram
+from .series import TimeSeries
+from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
 from .streams import GaussianStream
 
-__all__ = ["FiniteTimeSpec", "PlateauReport", "psd_kernel_auto",
-           "psd_kernel_cross", "finite_psd_theoretical", "finite_psd_curve",
-           "plateau_experiment"]
+__all__ = ["PlateauReport", "psd_kernel_auto", "psd_kernel_cross",
+           "finite_psd_theoretical", "plateau_experiment"]
 
 
 def _check_t_theta(t, theta):
@@ -100,30 +99,6 @@ def finite_psd_theoretical(model: NoiseModel, t: float, omega) -> np.ndarray | f
             f"finite-horizon PSD available for RedOuDt and Mixed only, "
             f"got {type(model).__name__}")
     return out
-
-
-@dataclass(frozen=True)
-class FiniteTimeSpec:
-    """A finite-horizon PSD curve: horizon, rates, and sampled values."""
-
-    t: float
-    theta: float
-    gamma: float | None
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.omegas.shape != self.values.shape:
-            raise ValueError("omegas and values must have the same length")
-
-
-def finite_psd_curve(model: RedOuDt | Mixed, t: float, omegas) -> FiniteTimeSpec:
-    """Evaluate :func:`finite_psd_theoretical` on a frequency grid."""
-    omegas = np.asarray(omegas, dtype=np.float64)
-    values = np.asarray(finite_psd_theoretical(model, t, omegas))
-    gamma = model.gamma if isinstance(model, Mixed) else None
-    return FiniteTimeSpec(t=float(t), theta=model.theta, gamma=gamma,
-                          omegas=omegas, values=values)
 
 
 @dataclass(frozen=True)
@@ -210,7 +185,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     for child in stream.spawn(replicas):
         u = ou_exact_sample(theta, dt, n, child, init=alpha_model.init)
         dy = u.values * dt + beta * np.sqrt(dt) * child.fill(n)
-        pg = periodogram(IncrementSeries(dt=dt, values=dy))
+        pg = periodogram(TimeSeries(dt=dt, values=dy))
         mean_powers = pg.powers if mean_powers is None \
             else mean_powers + pg.powers
     mean_powers /= replicas
@@ -222,15 +197,15 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
         half = max(0.02 * w, 3.0 * d_omega)
         sel = np.abs(grid - w) <= half
         empirical[i] = mean_powers[sel].mean()
-    theoretical = psd_kernel_auto(t, omegas, theta) / t + beta * beta
+    theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
 
     band_sel = (grid >= lo) & (grid <= hi)
     plateau_estimate = float(mean_powers[band_sel].mean())
     plateau_target = beta * beta
 
     width = max(int(np.count_nonzero(band_sel) // 40), 1)
-    avg = band_average(Periodogram(omegas=grid, powers=mean_powers,
-                                   n_samples=n, dt=dt), width)
+    avg = band_average(AvgSpectrum(omegas=grid, powers=mean_powers,
+                                   band_width=1), width)
     decay_slope, _ = loglog_slope(avg, lo, hi)
 
     if beta != 0.0:

@@ -1,10 +1,10 @@
-"""Series containers and file formats.
+"""Series container and file formats.
 
-A ``TimeSeries`` carries sampled values of a process on a uniform grid; an
-``IncrementSeries`` carries per-step increments of an integrated noise
-differential on the same kind of grid.  Both are written either as two-column
-CSV (``t,value``, 17 significant digits) or as raw little-endian float64
-(``f64le``), and read back from either format.
+A ``TimeSeries`` carries values on a uniform grid of step ``dt``: either a
+sampled path, or the per-step increments of an integrated noise
+differential.  It is written either as two-column CSV (``t,value``, 17
+significant digits) or as raw little-endian float64 (``f64le``), and read
+back from either format.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "TimeSeries",
-    "IncrementSeries",
     "save_series",
     "load_values",
     "write_csv",
@@ -43,30 +42,15 @@ def _check_dt(dt) -> float:
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled path: ``values[k]`` at time ``k * dt``."""
+    """Values on a uniform grid of step ``dt``.
+
+    Read as a path, ``values[k]`` is the value at time ``k * dt``; read as
+    increments, ``values[k]`` accrues over ``[k*dt, (k+1)*dt)``.  Both
+    readings share the time axis ``t = k * dt``.
+    """
 
     dt: float
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.dt = _check_dt(self.dt)
-        self.values = _check_values(self.values)
-
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.dt
-
-
-@dataclass
-class IncrementSeries:
-    """Per-step increments: ``values[k]`` accrues over ``[k*dt, (k+1)*dt)``."""
-
-    dt: float
-    values: np.ndarray = field(repr=False)
-    model: object | None = None
 
     def __post_init__(self):
         self.dt = _check_dt(self.dt)
@@ -111,7 +95,7 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def save_series(path, series, fmt: str = "csv") -> None:
-    """Write a TimeSeries/IncrementSeries to ``path`` in the given format."""
+    """Write a TimeSeries to ``path`` in the given format."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "csv":

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _ar1_recursion, lfilter
-from .series import IncrementSeries, TimeSeries
+from .models import _ar1_recursion, _ou_step, lfilter
+from .series import TimeSeries
 from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams", "SimConfig",
@@ -124,7 +124,7 @@ def _check_euler_step(lam: float, dt: float):
 
 
 def euler_integrate(lam: float, sigma: float, x0: float,
-                    forcing: IncrementSeries | TimeSeries) -> TimeSeries:
+                    forcing: TimeSeries) -> TimeSeries:
     """Explicit Euler for ``dX = -lam X dt + sigma dY`` over a forcing series.
 
     ``X_{k+1} = X_k - lam X_k dt + sigma dY_k``; returns the n+1 values
@@ -179,8 +179,7 @@ def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
         return TimeSeries(dt=config.dt_out, values=out)
 
     n_force = (n_out - 1) * sub          # forcing increments f_k = U_k * dt
-    coeff_u = np.exp(-theta * dt)
-    scale_u = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    coeff_u, scale_u = _ou_step(theta, dt)
     coeff_x = 1.0 - lam * dt
     zi_u = np.array([coeff_u * 0.0])     # U_0 = 0
     zi_x = np.array([coeff_x * params.x0])
@@ -206,7 +205,8 @@ def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
     return TimeSeries(dt=config.dt_out, values=out)
 
 
-def stationary_autocorr(params: ContinuousSystemParams, tau) -> float:
+def stationary_autocorr(params: ContinuousSystemParams,
+                        tau) -> np.ndarray | float:
     """Closed-form stationary autocorrelation of the continuous system.
 
     ``(lam e^{-theta|tau|} - theta e^{-lam|tau|}) / (lam - theta)``, equal to
@@ -216,12 +216,15 @@ def stationary_autocorr(params: ContinuousSystemParams, tau) -> float:
     ``m = (lam + theta)/2`` — the mean rate rather than either one, so that
     exchanging ``lam`` and ``theta`` gives the identical result in every
     branch (it does in the main branch too: negating both numerator and
-    denominator is exact in floating point).
+    denominator is exact in floating point).  An array ``tau`` gives an
+    array, elementwise the same bits as scalar calls; a scalar gives a float.
     """
     lam, theta = params.lam, params.theta
-    tau = abs(float(tau))
+    tau = np.abs(np.asarray(tau, dtype=np.float64))
     if abs(lam - theta) < 1e-8 * max(lam, theta):
         m = 0.5 * (lam + theta)
-        return float(np.exp(-m * tau) * (1.0 + m * tau))
-    return float((lam * np.exp(-theta * tau) - theta * np.exp(-lam * tau))
-                 / (lam - theta))
+        out = np.exp(-m * tau) * (1.0 + m * tau)
+    else:
+        out = (lam * np.exp(-theta * tau) - theta * np.exp(-lam * tau)) \
+            / (lam - theta)
+    return out if out.ndim else float(out)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import IncrementSeries, TimeSeries, _check_values
+from .series import TimeSeries, _check_values
 
-__all__ = ["Periodogram", "AvgSpectrum", "AcfEstimate", "periodogram",
+__all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
            "band_average", "empirical_acf", "loglog_slope"]
 
 # Periodogram bins per chunk in _band_spectrum (rounded down to whole bands).
@@ -24,29 +24,12 @@ _BAND_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class Periodogram:
-    """Raw periodogram: angular frequencies, powers, and grid provenance."""
-
-    omegas: np.ndarray
-    powers: np.ndarray
-    n_samples: int
-    dt: float
-
-    def __post_init__(self):
-        _check_values(self.omegas)
-        _check_values(self.powers)
-        if self.omegas.shape != self.powers.shape:
-            raise ValueError("omegas and powers must have the same length")
-        if np.any(self.powers < 0):
-            raise ValueError("periodogram powers must be nonnegative")
-
-    def __len__(self):
-        return self.omegas.size
-
-
-@dataclass(frozen=True)
 class AvgSpectrum:
-    """Band-averaged spectrum: band-center frequencies and band mean powers."""
+    """Band-averaged spectrum: band-center frequencies and band mean powers.
+
+    ``band_width`` periodogram bins are averaged per band; the raw
+    periodogram is the spectrum of band width 1.
+    """
 
     omegas: np.ndarray
     powers: np.ndarray
@@ -57,6 +40,12 @@ class AvgSpectrum:
         _check_values(self.powers)
         if self.omegas.shape != self.powers.shape:
             raise ValueError("omegas and powers must have the same length")
+        negative = np.flatnonzero(self.powers < 0)
+        if negative.size:
+            i = negative[0]
+            raise ValueError(
+                f"powers must be nonnegative, got {self.powers[i]} "
+                f"at omega={self.omegas[i]}")
 
     def __len__(self):
         return self.omegas.size
@@ -79,13 +68,14 @@ class AcfEstimate:
             raise ValueError(f"mode must be covariance or correlation, got {self.mode!r}")
 
 
-def periodogram(series: IncrementSeries | TimeSeries) -> Periodogram:
+def periodogram(series: TimeSeries) -> AvgSpectrum:
     """Periodogram of a series, normalized to the flat-unit white reference.
 
     Left-endpoint discretization of the finite-window Fourier integral of the
     increments.  Uses the real FFT; returns ``n // 2`` points at
     ``omega_j = 2 pi j / (n dt)`` for ``j = 1 .. n//2`` (any length is
-    accepted, not just powers of two).  Requires at least 2 samples.
+    accepted, not just powers of two), as a spectrum of band width 1.
+    Requires at least 2 samples.
     """
     values = series.values
     n = values.size
@@ -95,10 +85,10 @@ def periodogram(series: IncrementSeries | TimeSeries) -> Periodogram:
     spec = np.fft.rfft(values)[1:n // 2 + 1]
     powers = (spec.real**2 + spec.imag**2) / (n * dt)
     omegas = 2.0 * np.pi * np.arange(1, n // 2 + 1) / (n * dt)
-    return Periodogram(omegas=omegas, powers=powers, n_samples=n, dt=dt)
+    return AvgSpectrum(omegas=omegas, powers=powers, band_width=1)
 
 
-def band_average(pg: Periodogram, band_width: int) -> AvgSpectrum:
+def band_average(pg: AvgSpectrum, band_width: int) -> AvgSpectrum:
     """Average the periodogram over disjoint blocks of ``band_width`` bins.
 
     Each band is reduced to (mean frequency, mean power); a trailing partial
@@ -118,8 +108,7 @@ def band_average(pg: Periodogram, band_width: int) -> AvgSpectrum:
     return AvgSpectrum(omegas=omegas, powers=powers, band_width=band_width)
 
 
-def _band_spectrum(series: IncrementSeries | TimeSeries,
-                   band_width: int) -> AvgSpectrum:
+def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
     """``band_average(periodogram(series), band_width)``, bit for bit.
 
     Takes one real FFT, then forms powers, frequencies and band means a
@@ -154,7 +143,7 @@ def _band_spectrum(series: IncrementSeries | TimeSeries,
     return AvgSpectrum(omegas=omegas, powers=powers, band_width=band_width)
 
 
-def empirical_acf(series: IncrementSeries | TimeSeries, max_lag: int,
+def empirical_acf(series: TimeSeries, max_lag: int,
                   mode: str = "covariance") -> AcfEstimate:
     """Empirical autocovariance at integer lags 0 to ``max_lag``.
 
@@ -169,6 +158,8 @@ def empirical_acf(series: IncrementSeries | TimeSeries, max_lag: int,
     reversal, so the estimate is invariant under time reversal of the input
     not just mathematically but bit for bit.
     """
+    if mode not in ("covariance", "correlation"):
+        raise ValueError(f"mode must be covariance or correlation, got {mode!r}")
     values = series.values
     n = values.size
     max_lag = int(max_lag)
@@ -193,13 +184,11 @@ def empirical_acf(series: IncrementSeries | TimeSeries, max_lag: int,
             raise ValueError("zero variance: correlation undefined")
         cov = cov / cov[0]
         cov[0] = 1.0
-    elif mode != "covariance":
-        raise ValueError(f"mode must be covariance or correlation, got {mode!r}")
     lags = np.arange(max_lag + 1, dtype=np.float64)
     return AcfEstimate(lags=lags, values=cov, mode=mode)
 
 
-def loglog_slope(spectrum: Periodogram | AvgSpectrum, omega_min: float,
+def loglog_slope(spectrum: AvgSpectrum, omega_min: float,
                  omega_max: float) -> tuple[float, float]:
     """Least-squares slope and intercept of log power vs log frequency.
 

@@ -192,3 +192,17 @@ def fgn_sample_reference(hurst: float, dt: float, n: int, stream) -> np.ndarray:
     w[n + 1:] = np.conj(w[1:n][::-1])
     values = np.fft.fft(w).real[:n]
     return values * dt**hurst
+
+
+def stationary_autocorr_scalar(lam: float, theta: float, tau: float) -> float:
+    """Per-lag form of ``rednoise.stationary_autocorr``.
+
+    The same branch and the same floating-point operations on one Python
+    float at a time, so the package's array form must match it bit for bit.
+    """
+    tau = abs(float(tau))
+    if abs(lam - theta) < 1e-8 * max(lam, theta):
+        m = 0.5 * (lam + theta)
+        return float(np.exp(-m * tau) * (1.0 + m * tau))
+    return float((lam * np.exp(-theta * tau) - theta * np.exp(-lam * tau))
+                 / (lam - theta))

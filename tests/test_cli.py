@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import rednoise
-from rednoise import (Ar1Driven, DiffU, GaussianStream, IncrementSeries,
-                      RedOuDt, band_average, empirical_acf, increments,
-                      load_values, periodogram)
+from rednoise import (Ar1Driven, DiffU, GaussianStream, RedOuDt, TimeSeries,
+                      band_average, empirical_acf, increments, load_values,
+                      periodogram)
 from rednoise.cli import main
 
 
@@ -131,7 +131,7 @@ def test_acf_command_matches_library(tmp_path, capsys):
     assert code == 0
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     incr = increments(Ar1Driven(0.9), 1.0, 20000, GaussianStream(9))
-    est = empirical_acf(IncrementSeries(1.0, incr.values), 10,
+    est = empirical_acf(TimeSeries(1.0, incr.values), 10,
                         mode="correlation")
     np.testing.assert_array_equal(data[:, 1], est.values)
     assert data[0, 1] == 1.0
@@ -157,6 +157,38 @@ def test_error_exits(tmp_path, capsys):
     code, _, err = run(capsys, "acf", "--in", str(raw),
                        "--out", str(tmp_path / "a.csv"))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "model=white", "--n", "-5"),
+    ("fig2", "--n", "-3"),
+    ("fig2", "--quick", "--n", "-3"),
+])
+def test_negative_n_exits_2_naming_n(tmp_path, capsys, argv):
+    out_path = tmp_path / "x"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: n ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["generate", "psd", "acf", "slope",
+                                     "fig1", "fig2", "theorem"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rednoise {command}")
+
+
+def test_slope_rejects_negative_power(tmp_path, capsys):
+    # the negative power lies outside the fit window and is still rejected
+    spec = tmp_path / "spec.csv"
+    rows = [f"{w},{-0.25 if w == 3 else 1.0}" for w in range(1, 21)]
+    spec.write_text("omega,power\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "slope", "--in", str(spec),
+                         "--omega-min", "5", "--omega-max", "20")
+    assert code == 2 and out == ""
+    assert err == "error: powers must be nonnegative, got -0.25 at omega=3.0\n"
 
 
 @pytest.mark.parametrize("exc, cause", [

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from rednoise import (Ar1Driven, DiffU, Fgn, FiniteTimeSpec, GaussianStream,
-                      Mixed, RedOuDt, White, finite_psd_curve,
-                      finite_psd_theoretical, plateau_experiment,
+from rednoise import (Ar1Driven, DiffU, Fgn, GaussianStream, Mixed, RedOuDt,
+                      White, finite_psd_theoretical, plateau_experiment,
                       psd_kernel_auto, psd_kernel_cross, theoretical_psd)
 
 
@@ -105,19 +104,6 @@ def test_finite_psd_unsupported_models(model):
         finite_psd_theoretical(model, 100.0, 1.0)
 
 
-def test_finite_psd_curve_fields():
-    omegas = np.array([0.1, 1.0, 10.0])
-    red = finite_psd_curve(RedOuDt(0.1), 200.0, omegas)
-    assert red.t == 200.0 and red.theta == 0.1 and red.gamma is None
-    np.testing.assert_array_equal(red.omegas, omegas)
-    np.testing.assert_allclose(
-        red.values, finite_psd_theoretical(RedOuDt(0.1), 200.0, omegas))
-    mixed = finite_psd_curve(Mixed(0.1, 0.5), 200.0, omegas)
-    assert mixed.gamma == 0.5
-    with pytest.raises(ValueError):
-        FiniteTimeSpec(200.0, 0.1, None, omegas, np.array([1.0]))
-
-
 # ---------------------------------------------------------------------------
 # the plateau experiment
 # ---------------------------------------------------------------------------
@@ -155,6 +141,8 @@ def test_plateau_report_bookkeeping():
     assert report.replicas == 32 and report.t == 200.0 and report.dt == 0.01
     assert report.plateau_band == (10.0, 30.0)
     assert len(report.empirical) == len(report.omegas) == 1
+    np.testing.assert_array_equal(
+        report.theoretical, finite_psd_theoretical(RedOuDt(0.1), 200.0, [10.0]) + 1.0)
     assert "plateau" in report.detail
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rednoise import (GaussianStream, IncrementSeries, TimeSeries, White,
-                      load_values, save_series, write_csv)
+from rednoise import (GaussianStream, TimeSeries, load_values, save_series,
+                      write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -16,8 +16,8 @@ from rednoise import (GaussianStream, IncrementSeries, TimeSeries, White,
     lambda: TimeSeries(1.0, np.ones((2, 2))),
     lambda: TimeSeries(1.0, np.array([])),
     lambda: TimeSeries(1.0, np.array([1.0, float("inf")])),
-    lambda: IncrementSeries(0.0, np.ones(3)),
-    lambda: IncrementSeries(1.0, np.array([float("nan")])),
+    lambda: TimeSeries(float("inf"), np.ones(3)),
+    lambda: TimeSeries(1.0, np.array([float("nan")])),
 ])
 def test_container_validation(build):
     with pytest.raises(ValueError):
@@ -28,9 +28,6 @@ def test_time_axis():
     series = TimeSeries(0.5, np.arange(4, dtype=np.float64))
     np.testing.assert_allclose(series.t, [0.0, 0.5, 1.0, 1.5])
     assert len(series) == 4
-    incr = IncrementSeries(0.25, np.ones(3), model=White())
-    np.testing.assert_allclose(incr.t, [0.0, 0.25, 0.5])
-    assert incr.model == White()
 
 
 def test_values_coerced_to_float64():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 import rednoise.simulate as sim
 from conftest import StubStream
 from rednoise import (ContinuousSystemParams, DiscreteSystemParams,
-                      GaussianStream, IncrementSeries, RedOuDt, SimConfig,
+                      GaussianStream, RedOuDt, SimConfig, TimeSeries,
                       White, continuous_from_discrete, euler_integrate,
                       increments, ou_exact_sample, simulate_continuous,
                       simulate_discrete, stationary_autocorr)
@@ -106,14 +107,14 @@ def test_euler_zero_rate_is_random_walk():
 
 
 def test_euler_pure_decay():
-    forcing = IncrementSeries(0.001, np.zeros(1000))
+    forcing = TimeSeries(0.001, np.zeros(1000))
     out = euler_integrate(1.0, 0.0, 1.0, forcing)
     assert len(out.values) == 1001
     assert out.values[-1] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
 
 def test_euler_rejects_bad_input():
-    forcing = IncrementSeries(0.1, np.ones(5))
+    forcing = TimeSeries(0.1, np.ones(5))
     with pytest.raises(ValueError):
         euler_integrate(float("inf"), 1.0, 0.0, forcing)
     with pytest.raises(ValueError):
@@ -148,7 +149,7 @@ def test_euler_strong_convergence_rate():
         ref = np.concatenate(([0.0], lfilter([gain], [1.0, -decay], u)))
         for i, step in enumerate((8, 4, 2)):
             dt = dt0 * step
-            forcing = IncrementSeries(dt, u[::step] * dt)
+            forcing = TimeSeries(dt, u[::step] * dt)
             path = euler_integrate(lam, 1.0, 0.0, forcing).values
             diff = path[1:] - ref[step::step]
             errors[i] += np.sqrt(np.mean(diff ** 2))
@@ -225,6 +226,25 @@ def test_autocorr_reference_values():
     equal = ContinuousSystemParams(0.1, 0.1, 1.0)
     assert stationary_autocorr(equal, 10.0) == pytest.approx(0.735759, abs=1e-6)
     assert stationary_autocorr(CONT, -3.0) == stationary_autocorr(CONT, 3.0)
+
+
+def test_autocorr_array_matches_per_lag_form():
+    # an array of lags gives, element by element, the bits of the per-lag
+    # reference, in both branches (the last theta is confluent with lam)
+    rng = np.random.default_rng(0)
+    taus = np.concatenate((np.arange(21.0), -np.arange(21.0) * 0.1,
+                           rng.uniform(0.0, 80.0, 2000)))
+    for lam in (0.05, 0.105, -np.log(0.8), 1.0, 4.0):
+        for theta in (0.01, 0.1, -np.log(0.9), 2.5, lam * (1.0 + 1e-9)):
+            params = ContinuousSystemParams(lam, theta, 1.0)
+            want = np.array([oracles.stationary_autocorr_scalar(lam, theta, t)
+                             for t in taus])
+            got = stationary_autocorr(params, taus)
+            assert got.tobytes() == want.tobytes()
+            swapped = ContinuousSystemParams(theta, lam, 1.0)
+            assert stationary_autocorr(swapped, taus).tobytes() == got.tobytes()
+            one = stationary_autocorr(params, taus[30])
+            assert type(one) is float and one == want[30]
 
 
 @given(lam=st.floats(1e-3, 10.0), theta=st.floats(1e-3, 10.0),

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rednoise import spectral
 from rednoise import (Ar1Driven, AvgSpectrum, DiffU, GaussianStream, Mixed,
-                      Periodogram, RedOuDt, TimeSeries, White, ar1_sample,
-                      band_average, empirical_acf, fgn_sample, increments,
-                      loglog_slope, periodogram)
+                      RedOuDt, TimeSeries, White, ar1_sample, band_average,
+                      empirical_acf, fgn_sample, increments, loglog_slope,
+                      periodogram)
 
 
 def _series(values, dt=1.0):
@@ -23,7 +23,7 @@ def _series(values, dt=1.0):
 def test_periodogram_bins_and_fields():
     n, dt = 64, 0.25
     pg = periodogram(_series(GaussianStream(0).fill(n), dt))
-    assert pg.n_samples == n and pg.dt == dt
+    assert pg.band_width == 1
     assert len(pg.omegas) == n // 2
     np.testing.assert_allclose(pg.omegas,
                                2 * np.pi * np.arange(1, 33) / (n * dt))
@@ -77,12 +77,17 @@ def test_periodogram_matches_exact_discrete_law(kind, dt):
 # ---------------------------------------------------------------------------
 
 def test_band_average_examples():
-    pg = Periodogram(np.array([1.0, 2.0, 3.0, 4.0]),
-                     np.array([1.0, 2.0, 3.0, 4.0]), 8, 1.0)
+    pg = AvgSpectrum(np.array([1.0, 2.0, 3.0, 4.0]),
+                     np.array([1.0, 2.0, 3.0, 4.0]), 1)
     avg = band_average(pg, 2)
     np.testing.assert_allclose(avg.powers, [1.5, 3.5])
     np.testing.assert_allclose(avg.omegas, [1.5, 3.5])
     assert avg.band_width == 2
+
+
+def test_spectrum_rejects_negative_power():
+    with pytest.raises(ValueError, match=r"nonnegative, got -0.5 at omega=2.0"):
+        AvgSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5, 2.0]), 1)
 
 
 def test_band_average_identity_and_counts():
@@ -197,6 +202,16 @@ def test_acf_lag_budget():
         empirical_acf(series, -1)
     with pytest.raises(ValueError):
         empirical_acf(series, 10, mode="median")
+
+
+def test_acf_checks_mode_before_reading_the_series():
+    # a bad mode is rejected up front, not after max_lag + 1 full passes
+    class Unread:
+        @property
+        def values(self):
+            raise AssertionError("series read before mode was checked")
+    with pytest.raises(ValueError, match="'median'"):
+        empirical_acf(Unread(), 10, mode="median")
 
 
 # ---------------------------------------------------------------------------
