@@ -223,17 +223,14 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
 
     Returns ``n`` stationary increments of fractional Brownian motion over
     steps of length ``dt``; each is N(0, dt^(2H)) marginally with lag-m
-    covariance ``fgn_increment_cov(hurst, dt, m)``.  The circulant embedding
-    (size 2n) consumes exactly ``2n`` draws; should the embedding fail to be
-    nonnegative definite — not expected for this covariance — a dense
-    Cholesky fallback (``n`` draws) is used for ``n < 2**14``.
-
-    Working memory: one 2n-point complex workspace, which holds in turn the
-    embedding's first row, its eigenvalues and the sample's spectrum; the
-    n returned values; blocks of ``_FGN_BLOCK`` points; and numpy's FFT
-    scratch, which for an in-place transform is about twice the workspace.
-    The output is the same, bit for bit, as building each of those arrays
-    whole.
+    covariance ``fgn_increment_cov(hurst, dt, m)``.  The 2n-point circulant
+    embedding of this covariance is nonnegative definite for every n and H
+    (Dietrich & Newsam 1997; Craigmile 2003), so every ``n >= 1`` takes
+    exactly ``2n`` draws; a negative eigenvalue beyond rounding raises
+    ``RuntimeError``.  Working memory: the 2n-point real first row (filled
+    in ``_FGN_BLOCK``-point blocks), its n+1 ``rfft`` bins, which hold in
+    turn the eigenvalues and the half spectrum, the 2n-point ``irfft`` and
+    numpy's FFT scratch.  The bytes equal those of building each whole.
     """
     _check_hurst(hurst)
     dt = float(dt)
@@ -242,13 +239,8 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n == 1:
-        values = stream.fill(1) * dt**hurst
-        return TimeSeries(dt=dt, values=values)
-
     m2 = 2 * n
-    w = np.zeros(m2, dtype=np.complex128)
-    row = w.real                  # first row [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
+    row = np.empty(m2)            # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
     for a in range(0, n + 1, _FGN_BLOCK):
         b = min(a + _FGN_BLOCK, n + 1)
         gamma = fgn_increment_cov(hurst, 1.0, np.arange(a, b))
@@ -256,33 +248,25 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
         lo, hi = max(a, 1), min(b, n)
         if lo < hi:
             row[m2 - hi + 1:m2 - lo + 1] = gamma[lo - a:hi - a][::-1]
-    np.fft.fft(w, out=w)
+    w = np.fft.rfft(row)
+    del row
     eigs = w.real
     if eigs.min() < -1e-9 * eigs.max():
-        if n >= 2**14:
-            raise RuntimeError(
-                f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
-        from scipy.linalg import cholesky, toeplitz
-        cov = toeplitz(fgn_increment_cov(hurst, 1.0, np.arange(n)))
-        values = cholesky(cov, lower=True) @ stream.fill(n)
-        return TimeSeries(dt=dt, values=values * dt**hurst)
+        raise RuntimeError(
+            f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
 
-    # Hermitian spectrum, w[m2 - j] = conj(w[j]), from the draws of one
-    # fill(m2): z_0 scales w[0], z_1 w[n], and (z_2j, z_2j+1) w[j].  Each
-    # eigenvalue is read before its slot is overwritten; the mirrored slots
-    # hold eigenvalues past n, which are not needed.
-    ends = np.clip(eigs[[0, n]], 0.0, None)
-    z = stream.fill(2)
-    w[0] = np.sqrt(ends[0] / m2) * z[0]
-    w[n] = np.sqrt(ends[1] / m2) * z[1]
+    # Half spectrum from the draws of one fill(m2): z_0 scales bin 0, z_1
+    # bin n, and (z_2j, z_2j+1) bin j.  Each eigenvalue is read before its
+    # bin is overwritten.
+    w[[0, n]] = np.sqrt(np.clip(eigs[[0, n]], 0.0, None) / m2) * stream.fill(2)
     for a in range(1, n, _FGN_BLOCK):
         b = min(a + _FGN_BLOCK, n)
         half = np.sqrt(np.clip(eigs[a:b], 0.0, None) / (2.0 * m2))
         z = stream.fill(2 * (b - a))
         w[a:b] = half * (z[::2] + 1j * z[1::2])
-        w[m2 - b + 1:m2 - a + 1] = np.conj(w[a:b][::-1])
-    np.fft.fft(w, out=w)
-    return TimeSeries(dt=dt, values=w.real[:n] * dt**hurst)
+    full = np.fft.irfft(w, m2, norm="forward")    # the bins carry the 1/m2
+    del w
+    return TimeSeries(dt=dt, values=full[:n] * dt**hurst)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +337,10 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
 
     ``(|m+1|^2H - 2|m|^2H + |m-1|^2H) / 2 * dt^2H`` — positive for H > 1/2
     (persistence), negative for H < 1/2, zero beyond lag 0 at H = 1/2.
+    For ``|m| >= 2`` it is evaluated as ``(AB - 1) - (A - 1)(B - 1)`` with
+    ``A, B = (1 +- 1/m)^2H``, each term an ``expm1`` of a ``log1p``, times
+    ``m^2H``: its relative error stays a few eps, where the direct form's
+    cancellation loses digits as eps*m^2.
     """
     _check_hurst(hurst)
     dt = float(dt)
@@ -360,8 +348,15 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
         raise ValueError(f"dt must be positive, got {dt}")
     m = np.abs(np.asarray(m, dtype=np.float64))
     two_h = 2.0 * hurst
-    out = 0.5 * (np.abs(m + 1) ** two_h - 2.0 * m**two_h
-                 + np.abs(m - 1) ** two_h) * dt**two_h
+    out = np.empty_like(m)
+    far = m >= 2.0
+    mf = m[far]
+    out[far] = mf**two_h * (np.expm1(two_h * np.log1p(-1.0 / (mf * mf)))
+                            - np.expm1(two_h * np.log1p(1.0 / mf))
+                            * np.expm1(two_h * np.log1p(-1.0 / mf)))
+    mn = m[~far]
+    out[~far] = (mn + 1) ** two_h - 2.0 * mn**two_h + np.abs(mn - 1) ** two_h
+    out = 0.5 * out * dt**two_h
     return out if out.ndim else float(out)
 
 

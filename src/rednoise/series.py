@@ -119,7 +119,10 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
     if fmt == "f64le":
         if dt is None:
             raise ValueError("dt is required when reading f64le data")
-        values = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
+        raw = path.read_bytes()
+        if len(raw) % 8:
+            raise ValueError(f"{path}: size {len(raw)} bytes is not a multiple of 8")
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         return values, _check_dt(dt)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:

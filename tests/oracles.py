@@ -157,40 +157,64 @@ def fgn_cov_brute(hurst: float, dt: float, m: int) -> float:
     return c(t1, s1) - c(t1, s0) - c(t0, s1) + c(t0, s0)
 
 
+def fgn_cov_series(hurst: float, k) -> np.ndarray:
+    """Lag-k fGn covariance (unit step) from its binomial series, in long double.
+
+    ``((k+1)^2H - 2k^2H + (k-1)^2H) / 2 = sum_{j>=1} C(2H, 2j) k^(2H-2j)``:
+    expanding ``(1 +- 1/k)^2H`` cancels the odd terms exactly, so no term is
+    a difference of large numbers.  The series converges for ``k > 1``;
+    its terms shrink at least as ``k^-2j``.  Returns float64.
+    """
+    k = np.asarray(k, dtype=np.longdouble)
+    if np.any(k < 2):
+        raise ValueError("the series is used for k >= 2 only")
+    a = 2 * np.longdouble(hurst)
+    inv_k2 = 1 / (k * k)
+    coeff = np.longdouble(1)                  # C(a, 0)
+    power = k**a                              # k^(a - 2j) at j = 0
+    total = np.zeros_like(k)
+    for j in range(1, 200):
+        coeff = coeff * (a - 2 * j + 2) * (a - 2 * j + 1) / ((2 * j - 1) * (2 * j))
+        power = power * inv_k2
+        term = coeff * power
+        total = total + term
+        if np.all(np.abs(term) <= np.finfo(np.longdouble).eps * np.abs(total)):
+            break
+    return total.astype(np.float64)
+
+
 def fgn_sample_reference(hurst: float, dt: float, n: int, stream) -> np.ndarray:
     """Circulant-embedding fGn sampler written with full-length arrays.
 
-    The straightforward form of ``rednoise.fgn_sample``: every intermediate
-    (the first row, its transform, the noise, the spectrum) is built whole.
-    It takes the same draws from ``stream`` in the same order and does the
-    same floating-point operations, so the package's in-place sampler must
-    return the same bytes.  Returns the ``n`` values.
+    The straightforward form of ``rednoise.fgn_sample``: the first row, its
+    ``rfft`` and the half spectrum are each built whole, and one ``irfft``
+    gives the sample.  It takes the same draws from ``stream`` in the same
+    order and does the same floating-point operations, so the package's
+    blocked sampler must return the same bytes.  Returns the ``n`` values.
     """
-    if n == 1:
-        return stream.fill(1) * dt**hurst
     two_h = 2.0 * hurst
     k = np.arange(n + 1, dtype=np.float64)
-    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = k**two_h * (np.expm1(two_h * np.log1p(-1.0 / (k * k)))
+                          - np.expm1(two_h * np.log1p(1.0 / k))
+                          * np.expm1(two_h * np.log1p(-1.0 / k)))
+    near = (k + 1) ** two_h - 2.0 * k**two_h + np.abs(k - 1) ** two_h
+    gamma = 0.5 * np.where(k >= 2, far, near)
     first_row = np.concatenate([gamma, gamma[n - 1:0:-1]])     # length 2n
-    eigs = np.fft.fft(first_row).real
+    eigs = np.fft.rfft(first_row).real
     if eigs.min() < -1e-9 * eigs.max():
-        if n >= 2**14:
-            raise RuntimeError(
-                f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
-        from scipy.linalg import cholesky, toeplitz
-        cov = toeplitz(gamma[:n])
-        return cholesky(cov, lower=True) @ stream.fill(n) * dt**hurst
+        raise RuntimeError(
+            f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
     eigs = np.clip(eigs, 0.0, None)
 
     m2 = 2 * n
     z = stream.fill(m2)
-    w = np.empty(m2, dtype=np.complex128)
+    w = np.empty(n + 1, dtype=np.complex128)
     w[0] = np.sqrt(eigs[0] / m2) * z[0]
     w[n] = np.sqrt(eigs[n] / m2) * z[1]
     half = np.sqrt(eigs[1:n] / (2.0 * m2))
     w[1:n] = half * (z[2::2] + 1j * z[3::2])
-    w[n + 1:] = np.conj(w[1:n][::-1])
-    values = np.fft.fft(w).real[:n]
+    values = np.fft.irfft(w, m2, norm="forward")[:n]
     return values * dt**hurst
 
 

@@ -159,6 +159,15 @@ def test_error_exits(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_truncated_f64le_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "odd.f64le"
+    path.write_bytes(bytes(13))
+    code, out, err = run(capsys, "psd", "--in", str(path), "--dt", "1",
+                         "--out", str(tmp_path / "p.csv"))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: size 13 bytes is not a multiple of 8\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--model", "model=white", "--n", "-5"),
     ("fig2", "--n", "-3"),

@@ -185,6 +185,18 @@ def test_fgn_cov_matches_brute_force_expansion(hurst):
         assert fgn_increment_cov(hurst, 0.7, m) == pytest.approx(brute, rel=1e-10)
 
 
+@pytest.mark.parametrize("hurst", [0.1, 0.7, 0.9])
+def test_fgn_cov_matches_long_double_series(hurst):
+    # lags 2..3e6, dense at both ends; on these lags the direct form's
+    # relative error reaches 2e-3 (H=0.9) to 2e-2 (H=0.1)
+    lags = np.unique(np.concatenate([
+        np.arange(2, 2000), np.geomspace(2000, 3e6, 2000).astype(np.int64),
+        np.arange(3_000_000 - 2000, 3_000_001)]))
+    got = fgn_increment_cov(hurst, 1.0, lags)
+    want = oracles.fgn_cov_series(hurst, lags)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # sampler statistics
 # ---------------------------------------------------------------------------
@@ -267,29 +279,36 @@ def test_fgn_sample_matches_full_length_reference(n, hurst):
             assert stream.count_drawn == ref_stream.count_drawn == 2 * n
 
 
-def test_fgn_cholesky_fallback_matches_reference(monkeypatch):
-    # corrupt one eigenvalue of the embedding, so both samplers must take the
-    # dense fallback (n draws) below 2**14 and refuse from 2**14
-    fft = np.fft.fft
+@pytest.mark.parametrize("n", [1000, 2**14])
+def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
+    # corrupt one eigenvalue of the embedding: there is no fallback, so the
+    # sampler must refuse and name H and n
+    rfft = np.fft.rfft
 
     def broken(a, *args, **kwargs):
-        out = fft(a, *args, **kwargs)
+        out = rfft(a, *args, **kwargs)
         out[1] = -1.0
         return out
 
-    monkeypatch.setattr(np.fft, "fft", broken)
-    stream, ref_stream = GaussianStream(3), GaussianStream(3)
-    got = fgn_sample(0.7, 0.5, 1000, stream).values
-    want = oracles.fgn_sample_reference(0.7, 0.5, 1000, ref_stream)
-    assert got.tobytes() == want.tobytes()
-    assert stream.count_drawn == ref_stream.count_drawn == 1000
-    with pytest.raises(RuntimeError, match="not nonnegative definite"):
-        fgn_sample(0.7, 1.0, 2**14, GaussianStream(3))
+    monkeypatch.setattr(np.fft, "rfft", broken)
+    with pytest.raises(RuntimeError,
+                       match=rf"not nonnegative definite for H=0\.7, n={n}"):
+        fgn_sample(0.7, 1.0, n, GaussianStream(3))
+
+
+def test_fgn_sample_large_n():
+    # the direct covariance lost enough digits to make the embedding
+    # indefinite at H=0.9 from n of about 3e6
+    stream = GaussianStream(0)
+    incr = fgn_sample(0.9, 1.0, 3_000_000, stream)
+    assert len(incr) == 3_000_000
+    assert stream.count_drawn == 6_000_000
 
 
 def test_fgn_sample_traced_peak_per_sample():
-    # the 2n-point complex workspace is 32 bytes per sample and the output 8
-    # (numpy's FFT scratch is not traced); the full-length form peaks at 145
+    # the 2n-point row and the n+1 rfft bins (16 bytes per sample each),
+    # then the bins, the 2n-point irfft and the output (8); numpy's FFT
+    # scratch is not traced
     n = 2**17
     tracemalloc.start()
     try:
@@ -327,6 +346,7 @@ def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
     (Ar1Driven(0.9), 50, 50),
     (Ar1Driven(0.9, init="zero"), 50, 49),
     (Fgn(0.7), 50, 100),                             # circulant embedding
+    (Fgn(0.7), 1, 2),
 ])
 def test_draw_counts(model, n, expect):
     stream = GaussianStream(11)

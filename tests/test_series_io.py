@@ -81,6 +81,13 @@ def test_dt_handling(tmp_path):
         load_values(raw)                    # raw bytes carry no grid
 
 
+def test_truncated_f64le_rejected_naming_path_and_size(tmp_path):
+    path = tmp_path / "odd.f64le"
+    path.write_bytes(np.arange(3.0).tobytes()[:-3])
+    with pytest.raises(ValueError, match=r"odd\.f64le: size 21 bytes is not a multiple of 8"):
+        load_values(path, dt=1.0)
+
+
 def test_nonuniform_time_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n0.0,1.0\n1.0,2.0\n3.0,3.0\n")
