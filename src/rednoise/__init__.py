@@ -13,7 +13,7 @@ from .models import (Ar1Driven, DiffU, Fgn, Mixed, NoiseModel, RedOuDt, White,
 from .plateau import (PlateauReport, finite_psd_theoretical,
                       plateau_experiment, psd_kernel_auto, psd_kernel_cross)
 from .series import TimeSeries, load_values, save_series, write_csv
-from .simulate import (ContinuousSystemParams, DiscreteSystemParams, SimConfig,
+from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, euler_integrate,
                        simulate_continuous, simulate_discrete,
                        stationary_autocorr)
@@ -34,7 +34,7 @@ __all__ = [
     "PlateauReport", "finite_psd_theoretical", "plateau_experiment",
     "psd_kernel_auto", "psd_kernel_cross",
     "TimeSeries", "load_values", "save_series", "write_csv",
-    "ContinuousSystemParams", "DiscreteSystemParams", "SimConfig",
+    "ContinuousSystemParams", "DiscreteSystemParams",
     "continuous_from_discrete", "euler_integrate", "simulate_continuous",
     "simulate_discrete", "stationary_autocorr",
     "AcfEstimate", "AvgSpectrum", "band_average", "empirical_acf",

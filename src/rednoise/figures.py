@@ -18,7 +18,7 @@ import numpy as np
 from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White, increments,
                      theoretical_psd)
 from .series import TimeSeries
-from .simulate import (ContinuousSystemParams, DiscreteSystemParams, SimConfig,
+from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_continuous,
                        simulate_discrete, stationary_autocorr)
 # periodogram and band_average are not called here; they stay importable
@@ -56,12 +56,6 @@ class SpectraResult:
     dt: float
     band_width: int
     seed: int
-
-    def by_name(self, name: str) -> SpectrumComparison:
-        for comp in self.comparisons:
-            if comp.name == name:
-                return comp
-        raise KeyError(name)
 
 
 def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
@@ -163,8 +157,7 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     child_d, child_c = stream.spawn(2)
 
     path_d = simulate_discrete(params_d, n, child_d)
-    config = SimConfig(dt_fine=dt_fine, subsample=subsample, n_out=n)
-    path_c = simulate_continuous(params_c, config, child_c)
+    path_c = simulate_continuous(params_c, dt_fine, subsample, n, child_c)
 
     settle = 10.0 / min(params_c.lam, params_c.theta)
     burn_d = int(np.ceil(settle / path_d.dt))

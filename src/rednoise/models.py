@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, _check_dt
 from .streams import GaussianStream
 
 __all__ = [
@@ -207,9 +207,7 @@ def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
     """
     _check_theta(theta)
     _check_init(init)
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -233,9 +231,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     numpy's FFT scratch.  The bytes equal those of building each whole.
     """
     _check_hurst(hurst)
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -304,9 +300,7 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
     ``-0.0``.
     """
     _check_theta(theta)
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < dt):
         raise ValueError(f"tau must be >= dt={dt} (non-overlapping increments)")
@@ -343,9 +337,7 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
     cancellation loses digits as eps*m^2.
     """
     _check_hurst(hurst)
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     m = np.abs(np.asarray(m, dtype=np.float64))
     two_h = 2.0 * hurst
     out = np.empty_like(m)
@@ -381,9 +373,7 @@ def increments(model: NoiseModel, dt: float, n: int,
       continuum scaling of AR(1) noise is not well defined.
     - ``Fgn``: 2n draws (circulant embedding).
     """
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")

@@ -21,17 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _ar1_recursion, _ou_step, lfilter
+from .models import _ar1_recursion, _ou_step
 from .series import TimeSeries
 from .streams import GaussianStream
 
-__all__ = ["DiscreteSystemParams", "ContinuousSystemParams", "SimConfig",
+__all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
            "continuous_from_discrete", "simulate_discrete",
            "simulate_continuous", "euler_integrate", "stationary_autocorr"]
 
-# Fine-grid samples processed per block in simulate_continuous.  Blocked
-# filtering with carried state is bit-for-bit identical to filtering the
-# whole path at once, so this only caps memory, never changes output.
+# Steps processed per block by both simulators.  Blocked filtering with
+# carried state is bit-for-bit identical to filtering the whole path at once,
+# so this only caps memory, never changes output.
 _CHUNK = 1 << 22
 
 
@@ -75,31 +75,43 @@ class ContinuousSystemParams:
             raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Two-level integration config: fine step, subsample stride, output length."""
-
-    dt_fine: float
-    subsample: int
-    n_out: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt_fine) and self.dt_fine > 0):
-            raise ValueError(f"dt_fine must be positive, got {self.dt_fine}")
-        if int(self.subsample) != self.subsample or self.subsample < 1:
-            raise ValueError(f"subsample must be a positive integer, got {self.subsample}")
-        if int(self.n_out) != self.n_out or self.n_out < 1:
-            raise ValueError(f"n_out must be a positive integer, got {self.n_out}")
-
-    @property
-    def dt_out(self) -> float:
-        return self.dt_fine * self.subsample
-
-
 def continuous_from_discrete(params: DiscreteSystemParams) -> ContinuousSystemParams:
     """Map (psi, phi) to the matching continuous rates (-ln psi, -ln phi)."""
     return ContinuousSystemParams(lam=-np.log(params.psi), theta=-np.log(params.phi),
                                   sigma=params.sigma, x0=params.x0)
+
+
+def _cascade(coeff_u: float, scale_u: float, coeff_x: float, sigma: float,
+             x0: float, dt: float, sub: int, n_out: int,
+             stream: GaussianStream) -> np.ndarray:
+    """Every ``sub``-th value of a two-stage AR(1) cascade, ``n_out`` in all.
+
+    ``U_{k+1} = coeff_u U_k + scale_u z_k`` with ``U_0 = 0`` drives
+    ``X_{k+1} = coeff_x X_k + sigma (U_k dt)`` with ``X_0 = x0``; returns
+    ``X_0, X_sub, X_2sub, ...`` from ``max((n_out - 1) sub - 1, 0)`` draws.
+    Steps run in ``_CHUNK``-step blocks, and only the last U and the last X
+    carry from block to block: restarting the recursion from them gives the
+    bytes of one pass over the whole path.
+    """
+    n_steps = (n_out - 1) * sub          # X steps; they read U_0 .. U_{n_steps-1}
+    out = np.empty(n_out)
+    out[0] = x0
+    u_last, x_last = 0.0, x0
+    for start in range(0, n_steps, _CHUNK):
+        stop = min(start + _CHUNK, n_steps)
+        # U_start .. U_stop, but no step reads U_{n_steps}, so the last block
+        # draws one fewer
+        u = _ar1_recursion(coeff_u, scale_u, u_last,
+                           stream.fill(min(stop, n_steps - 1) - start))
+        u_last = u[-1]
+        f = u[:stop - start]
+        f *= dt                          # in place: no second block for U dt
+        x = _ar1_recursion(coeff_x, sigma, x_last, f)       # X_start .. X_stop
+        x_last = x[-1]
+        first = -(-(start + 1) // sub)   # output index of the first X past X_start
+        out[first:stop // sub + 1] = x[first * sub - start::sub]
+        del u, f, x                      # free the blocks before the next draw
+    return out
 
 
 def simulate_discrete(params: DiscreteSystemParams, n: int,
@@ -112,10 +124,9 @@ def simulate_discrete(params: DiscreteSystemParams, n: int,
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    z = stream.fill(max(n - 2, 0))
-    eps = _ar1_recursion(params.phi, 1.0, 0.0, z)          # eps_0 .. eps_{n-2}
-    x = _ar1_recursion(params.psi, params.sigma, params.x0, eps)
-    return TimeSeries(dt=1.0, values=x[:n])
+    values = _cascade(params.phi, 1.0, params.psi, params.sigma, params.x0,
+                      dt=1.0, sub=1, n_out=n, stream=stream)
+    return TimeSeries(dt=1.0, values=values)
 
 
 def _check_euler_step(lam: float, dt: float):
@@ -145,7 +156,8 @@ def euler_integrate(lam: float, sigma: float, x0: float,
     return TimeSeries(dt=forcing.dt, values=values)
 
 
-def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
+def simulate_continuous(params: ContinuousSystemParams, dt_fine: float,
+                        subsample: int, n_out: int,
                         stream: GaussianStream) -> TimeSeries:
     """Integrate the restoring SDE on the fine grid and subsample.
 
@@ -153,56 +165,32 @@ def simulate_continuous(params: ContinuousSystemParams, config: SimConfig,
     recursion at ``dt_fine``; X is advanced by explicit Euler
     ``X_{k+1} = (1 - lam dt_fine) X_k + sigma U_k dt_fine``; every
     ``subsample``-th fine value of X is emitted, ``n_out`` values in all
-    (the first is ``x0``).  Rejects ``lam * dt_fine >= 2``, where Euler
-    diverges, and warns if ``lam * dt_fine > 0.05``, where Euler bias starts
-    to be visible at the tolerances used elsewhere.
+    (the first is ``x0``), on the grid ``dt_fine * subsample``.  Consumes
+    ``max((n_out - 1) subsample - 1, 0)`` draws.  Rejects
+    ``lam * dt_fine >= 2``, where Euler diverges, and warns if
+    ``lam * dt_fine > 0.05``, where Euler bias starts to be visible at the
+    tolerances used elsewhere.
 
-    The path is generated in blocks of ``_CHUNK`` fine steps with filter
-    state carried across blocks; the output is bit-for-bit the same as
-    single-shot generation from the same stream, and identical to
-    ``euler_integrate`` applied to the same OU-times-dt forcing.
+    The output is identical to ``euler_integrate`` applied to the same
+    OU-times-dt forcing; it is generated in ``_CHUNK``-step blocks, so the
+    working memory beyond the output is a few blocks.
     """
-    lam, theta, sigma = params.lam, params.theta, params.sigma
-    dt = config.dt_fine
-    sub = int(config.subsample)
-    n_out = int(config.n_out)
+    if not (np.isfinite(dt_fine) and dt_fine > 0):
+        raise ValueError(f"dt_fine must be positive, got {dt_fine}")
+    if int(subsample) != subsample or subsample < 1:
+        raise ValueError(f"subsample must be a positive integer, got {subsample}")
+    if int(n_out) != n_out or n_out < 1:
+        raise ValueError(f"n_out must be a positive integer, got {n_out}")
+    lam, dt = params.lam, float(dt_fine)
     _check_euler_step(lam, dt)
     if lam * dt > 0.05:
         warnings.warn(
             f"lam*dt_fine = {lam * dt:.3g} > 0.05: Euler discretization error "
             "may exceed the tolerances this package is validated at",
             RuntimeWarning, stacklevel=2)
-
-    out = np.empty(n_out)
-    out[0] = params.x0
-    if n_out == 1:
-        return TimeSeries(dt=config.dt_out, values=out)
-
-    n_force = (n_out - 1) * sub          # forcing increments f_k = U_k * dt
-    coeff_u, scale_u = _ou_step(theta, dt)
-    coeff_x = 1.0 - lam * dt
-    zi_u = np.array([coeff_u * 0.0])     # U_0 = 0
-    zi_x = np.array([coeff_x * params.x0])
-    n_written = 1
-    for start in range(0, n_force, _CHUNK):
-        stop = min(start + _CHUNK, n_force)
-        # U values on fine indices [start, stop); index 0 is the literal 0.
-        if start == 0:
-            u = np.empty(stop)
-            u[0] = 0.0
-            if stop > 1:
-                u[1:], zi_u = lfilter([scale_u], [1.0, -coeff_u],
-                                      stream.fill(stop - 1), zi=zi_u)
-        else:
-            u, zi_u = lfilter([scale_u], [1.0, -coeff_u],
-                              stream.fill(stop - start), zi=zi_u)
-        # X values on fine indices [start+1, stop+1)
-        x, zi_x = lfilter([sigma], [1.0, -coeff_x], u * dt, zi=zi_x)
-        first = -(-(start + 1) // sub) * sub        # first multiple of sub >= start+1
-        picked = x[first - (start + 1)::sub]
-        out[n_written:n_written + picked.size] = picked
-        n_written += picked.size
-    return TimeSeries(dt=config.dt_out, values=out)
+    values = _cascade(*_ou_step(params.theta, dt), 1.0 - lam * dt, params.sigma,
+                      params.x0, dt, int(subsample), int(n_out), stream)
+    return TimeSeries(dt=dt * int(subsample), values=values)
 
 
 def stationary_autocorr(params: ContinuousSystemParams,

@@ -230,3 +230,53 @@ def stationary_autocorr_scalar(lam: float, theta: float, tau: float) -> float:
         return float(np.exp(-m * tau) * (1.0 + m * tau))
     return float((lam * np.exp(-theta * tau) - theta * np.exp(-lam * tau))
                  / (lam - theta))
+
+
+# ---------------------------------------------------------------------------
+# single-shot restoring-system simulators
+# ---------------------------------------------------------------------------
+
+def _ar1_whole(coeff: float, scale: float, x0: float, z) -> np.ndarray:
+    """``[x0, x1, ..., x_n]`` of ``x_{k+1} = coeff x_k + scale z_k``, one pass."""
+    from scipy.signal import lfilter
+    out = np.empty(z.size + 1)
+    out[0] = x0
+    if z.size:
+        out[1:], _ = lfilter([scale], [1.0, -coeff], z, zi=np.array([coeff * x0]))
+    return out
+
+
+def simulate_discrete_reference(params, n: int, stream) -> np.ndarray:
+    """The discrete restoring chain with each stage filtered whole.
+
+    ``eps`` is the AR(1) forcing from ``eps_0 = 0`` and ``n - 2`` draws;
+    ``X`` is filtered from ``x0`` over all of it.  Same draws, same
+    floating-point operations as ``rednoise.simulate_discrete``, so the
+    package's blocked form must return the same bytes.
+    """
+    eps = _ar1_whole(params.phi, 1.0, 0.0, stream.fill(max(n - 2, 0)))
+    return _ar1_whole(params.psi, params.sigma, params.x0, eps)[:n]
+
+
+def simulate_continuous_reference(params, dt: float, sub: int, n_out: int,
+                                  stream) -> np.ndarray:
+    """The subsampled Euler path of the restoring SDE, filtered whole.
+
+    U is the exact OU recursion from ``U_0 = 0`` over ``(n_out - 1) sub - 1``
+    draws; X is Euler over the whole forcing ``U dt``, and every ``sub``-th
+    value is kept.  Same draws and floating-point operations as
+    ``rednoise.simulate_continuous``, so its blocked form must return the
+    same bytes.
+    """
+    out = np.empty(n_out)
+    out[0] = params.x0
+    if n_out == 1:
+        return out
+    n_force = (n_out - 1) * sub
+    theta = params.theta
+    coeff_u = np.exp(-theta * dt)
+    scale_u = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    u = _ar1_whole(coeff_u, scale_u, 0.0, stream.fill(n_force - 1))
+    x = _ar1_whole(1.0 - params.lam * dt, params.sigma, params.x0, u * dt)
+    out[1:] = x[sub::sub]
+    return out

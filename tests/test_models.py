@@ -77,6 +77,20 @@ def test_increments_domain_errors(n, dt):
         increments(White(), dt, n, GaussianStream(0))
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_step_rejected_before_any_draw(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        fgn_increment_cov(0.7, dt, 3)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        ou_increment_cov(0.1, dt, [5.0])
+    for sample in (lambda s: ou_exact_sample(0.1, dt, 5, s),
+                   lambda s: fgn_sample(0.7, dt, 5, s),
+                   lambda s: increments(RedOuDt(0.1), dt, 5, s)):
+        stream = GaussianStream(0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            sample(stream)
+        assert stream.count_drawn == 0
+
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values
 # ---------------------------------------------------------------------------
