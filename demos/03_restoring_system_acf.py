@@ -6,9 +6,11 @@ The discrete chain
 and the SDE
     dX = -lam X dt + sigma U dt,   dU = -theta U dt + dW
 with lam = -ln psi, theta = -ln phi describe the same system on the unit
-grid.  Both empirical autocorrelations should land on
+grid.  The discrete chain runs its recursion; the SDE is sampled by its exact
+Gaussian transition over each unit step (two draws per step, no fine Euler
+grid, so no Euler bias).  Both empirical autocorrelations should land on
     r(tau) = (lam e^{-theta tau} - theta e^{-lam tau}) / (lam - theta)
-apart from sampling noise (a few tenths of a percent at this length).
+apart from sampling noise (up to a few percent at this length).
 """
 
 import numpy as np

@@ -16,7 +16,7 @@ from .series import TimeSeries, load_values, save_series, write_csv
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, euler_integrate,
                        simulate_continuous, simulate_discrete,
-                       stationary_autocorr)
+                       simulate_exact, stationary_autocorr)
 from .spectral import (AcfEstimate, AvgSpectrum, band_average, empirical_acf,
                        loglog_slope, periodogram)
 from .streams import GaussianStream
@@ -36,7 +36,7 @@ __all__ = [
     "TimeSeries", "load_values", "save_series", "write_csv",
     "ContinuousSystemParams", "DiscreteSystemParams",
     "continuous_from_discrete", "euler_integrate", "simulate_continuous",
-    "simulate_discrete", "stationary_autocorr",
+    "simulate_discrete", "simulate_exact", "stationary_autocorr",
     "AcfEstimate", "AvgSpectrum", "band_average", "empirical_acf",
     "loglog_slope", "periodogram",
     "GaussianStream",

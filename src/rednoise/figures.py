@@ -2,10 +2,10 @@
 
 ``spectra_run`` generates the four benchmark noise differentials (white, red,
 OU-increment, mixed), band-averages their periodograms, and compares against
-the closed-form densities.  ``restoring_run`` simulates the discrete and
-continuous linearly restoring systems and compares their autocorrelations
-against the shared closed form.  Both are pure functions of their parameters
-and the seed.
+the closed-form densities.  ``restoring_run`` samples the discrete and
+continuous linearly restoring systems on the unit grid (the continuous one by
+its exact transition) and compares their autocorrelations against the shared
+closed form.  Both are pure functions of their parameters and the seed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White, increments,
                      theoretical_psd)
 from .series import TimeSeries
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
-                       continuous_from_discrete, simulate_continuous,
-                       simulate_discrete, stationary_autocorr)
+                       continuous_from_discrete, simulate_discrete,
+                       simulate_exact, stationary_autocorr)
 # periodogram and band_average are not called here; they stay importable
 # under these names because bench/traced_cli.py wraps them in this module.
 from .spectral import (AcfEstimate, AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
@@ -138,18 +138,18 @@ def _acf_vs_theory(label: str, series: TimeSeries, burn_in: int, max_lag: int,
 
 
 def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
-                  n: int = 20_000_000, dt_fine: float = 0.1,
-                  subsample: int = 10, max_lag: int = 20,
+                  n: int = 20_000_000, max_lag: int = 20,
                   seed: int = 0) -> RestoringResult:
     """Discrete vs continuous restoring system vs the closed-form ACF.
 
-    The discrete chain runs on the unit grid; the continuous system is
-    integrated at ``dt_fine`` with OU forcing and subsampled to the same
-    output step.  Both paths drop a burn-in of ``max(10/lam, 10/theta)`` time
-    units before estimation (the closed form is the asymptotic law), then
-    their autocorrelations at lags 0..max_lag are compared with the closed
-    form, each on its own time grid.  Separate substreams drive the two
-    simulations, so they are independent realizations.
+    Both systems run on the unit grid, ``n`` values each: the discrete chain
+    by its recursion, the continuous system by its exact transition
+    (:func:`simulate_exact`), so neither carries a discretization bias.  Both
+    paths drop a burn-in of ``max(10/lam, 10/theta)`` time units before
+    estimation (the closed form is the asymptotic law), then their
+    autocorrelations at lags 0..max_lag are compared with the closed form.
+    Separate substreams drive the two simulations, so they are independent
+    realizations.
     """
     params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
     params_c = continuous_from_discrete(params_d)
@@ -157,13 +157,11 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     child_d, child_c = stream.spawn(2)
 
     path_d = simulate_discrete(params_d, n, child_d)
-    path_c = simulate_continuous(params_c, dt_fine, subsample, n, child_c)
+    path_c = simulate_exact(params_c, path_d.dt, n, child_c)
 
-    settle = 10.0 / min(params_c.lam, params_c.theta)
-    burn_d = int(np.ceil(settle / path_d.dt))
-    burn_c = int(np.ceil(settle / path_c.dt))
-    discrete = _acf_vs_theory("discrete", path_d, burn_d, max_lag, params_c)
-    continuous = _acf_vs_theory("continuous", path_c, burn_c, max_lag, params_c)
+    burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / path_d.dt))
+    discrete = _acf_vs_theory("discrete", path_d, burn, max_lag, params_c)
+    continuous = _acf_vs_theory("continuous", path_c, burn, max_lag, params_c)
     return RestoringResult(discrete=discrete, continuous=continuous,
                            params_discrete=params_d, params_continuous=params_c,
-                           n=int(n), burn_in=burn_d, seed=int(seed))
+                           n=int(n), burn_in=burn, seed=int(seed))

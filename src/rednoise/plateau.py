@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
-from .series import TimeSeries
+from .series import TimeSeries, _check_dt
 from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
 from .streams import GaussianStream
 
@@ -153,11 +153,9 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     t = float(t)
-    dt = float(dt)
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"T must be positive, got {t}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt = _check_dt(dt)
     replicas = int(replicas)
     if replicas < 32:
         raise ValueError(f"need at least 32 replicas, got {replicas}")

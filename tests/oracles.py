@@ -280,3 +280,52 @@ def simulate_continuous_reference(params, dt: float, sub: int, n_out: int,
     x = _ar1_whole(1.0 - params.lam * dt, params.sigma, params.x0, u * dt)
     out[1:] = x[sub::sub]
     return out
+
+
+def simulate_exact_reference(params, dt: float, n_out: int, stream) -> np.ndarray:
+    """The exactly sampled restoring SDE with each stage filtered whole.
+
+    All ``2 (n_out - 1)`` draws are taken at once as interleaved pairs
+    ``(z_k, w_k)``; U is filtered over the ``z`` from ``U_0 = 0``, and X over
+    ``(c U_k + l21 z_k) + l22 w_k`` from ``x0``, with the coefficients of
+    ``rednoise.simulate._exact_step`` and their Cholesky factor.  Same draws
+    and floating-point operations as ``rednoise.simulate_exact``, so its
+    blocked form must return the same bytes.
+    """
+    from rednoise.simulate import _exact_step
+    a, b, c, q11, q12, q22 = _exact_step(params, dt)
+    l11 = np.sqrt(q11)
+    l21 = q12 / l11
+    l22 = np.sqrt(max(q22 - l21 * l21, 0.0))
+    z = stream.fill(2 * (n_out - 1))
+    u = _ar1_whole(a, l11, 0.0, z[0::2])
+    return _ar1_whole(b, 1.0, params.x0, c * u[:-1] + l21 * z[0::2] + l22 * z[1::2])
+
+
+# ---------------------------------------------------------------------------
+# exact transition of a linear Gaussian system (Van Loan 1978)
+# ---------------------------------------------------------------------------
+
+def restoring_step_vanloan(lam: float, theta: float, sigma: float, h: float):
+    """Transition and innovation covariance of ``dU = -theta U dt + dW``,
+    ``dX = (-lam X + sigma U) dt`` over a step ``h``, by matrix exponential.
+
+    With drift ``A = [[-theta, 0], [sigma, -lam]]`` and noise ``B = (1, 0)``,
+    Van Loan's block matrix ``C = [[-A, B B^T], [0, A^T]] h`` has
+    ``expm(C) = [[., G], [0, F]]`` with ``F = e^{A^T h}`` and innovation
+    covariance ``F^T G = int_0^h e^{A s} B B^T e^{A^T s} ds`` (Van Loan 1978,
+    IEEE TAC 23:395).  Returns ``(a, b, c, q11, q12, q22)`` in the layout of
+    ``rednoise.simulate._exact_step``: ``e^{Ah} = [[a, 0], [c, b]]``.  Its
+    own error grows like ``e^{max(lam, theta) h}``, so it serves for
+    ``max(lam, theta) h`` up to a few.
+    """
+    from scipy.linalg import expm
+    a_mat = np.array([[-theta, 0.0], [sigma, -lam]])
+    block = np.zeros((4, 4))
+    block[:2, :2] = -a_mat
+    block[0, 2] = 1.0                       # B B^T = [[1, 0], [0, 0]]
+    block[2:, 2:] = a_mat.T
+    e = expm(block * h)
+    phi = e[2:, 2:].T
+    q = e[2:, 2:].T @ e[:2, 2:]
+    return phi[0, 0], phi[1, 1], phi[1, 0], q[0, 0], q[0, 1], q[1, 1]

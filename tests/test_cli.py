@@ -280,10 +280,23 @@ def test_theorem_quick_pass_and_csv(tmp_path, capsys):
 
 
 def test_theorem_negative_control_fails(capsys):
+    # beta = 0.5 puts the plateau near 0.25, far outside 5% of 1
     code, stdout, _ = run(capsys, "theorem", "--beta", "0.5", "--quick",
-                          "--assert-target", "0")
+                          "--assert-target", "1")
     assert code == 1
     assert "FAIL theorem" in stdout and "reason=" in stdout
+    assert "vs asserted target 1 (tol 5%)" in stdout
+
+
+def test_theorem_zero_target_exits_2(tmp_path, capsys):
+    # a 5% band around 0 cannot hold a measured plateau; the error points to
+    # the decay-slope gate of --beta 0 instead
+    out_path = tmp_path / "plateau.csv"
+    code, out, err = run(capsys, "theorem", "--beta", "0", "--quick",
+                         "--assert-target", "0", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: --assert-target 0 cannot pass")
+    assert "--beta 0" in err and err.count("\n") == 1
 
 
 def test_theorem_zero_beta_decays(capsys):

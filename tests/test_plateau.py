@@ -164,6 +164,14 @@ def test_plateau_preconditions(kwargs):
         plateau_experiment(**base)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_plateau_rejects_bad_dt_before_drawing(dt):
+    stream = GaussianStream(48)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        plateau_experiment(RedOuDt(0.1), 1.0, 500.0, dt, [10.0], 32, stream)
+    assert stream.count_drawn == 0
+
+
 def test_plateau_rejects_wrong_model():
     with pytest.raises(ValueError):
         plateau_experiment(Mixed(0.1, 0.5), 1.0, 500.0, 0.01, [10.0], 32,

@@ -11,7 +11,7 @@ from rednoise import (ContinuousSystemParams, DiscreteSystemParams,
                       GaussianStream, RedOuDt, TimeSeries,
                       White, continuous_from_discrete, euler_integrate,
                       increments, ou_exact_sample, simulate_continuous,
-                      simulate_discrete, stationary_autocorr)
+                      simulate_discrete, simulate_exact, stationary_autocorr)
 
 DISC = DiscreteSystemParams(psi=0.8, phi=0.9, sigma=1.0)
 CONT = continuous_from_discrete(DISC)
@@ -33,6 +33,10 @@ CONT = continuous_from_discrete(DISC)
     lambda: simulate_continuous(CONT, 0.0, 10, 100, GaussianStream(0)),
     lambda: simulate_continuous(CONT, 0.1, 0, 100, GaussianStream(0)),
     lambda: simulate_continuous(CONT, 0.1, 10, 0, GaussianStream(0)),
+    lambda: simulate_exact(CONT, 0.0, 100, GaussianStream(0)),
+    lambda: simulate_exact(CONT, float("nan"), 100, GaussianStream(0)),
+    lambda: simulate_exact(CONT, 1.0, 0, GaussianStream(0)),
+    lambda: simulate_exact(CONT, 1.0, 2.5, GaussianStream(0)),
 ])
 def test_invalid_params_rejected(build):
     with pytest.raises(ValueError):
@@ -172,7 +176,8 @@ def test_continuous_matches_increment_composition():
 
 def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
     # the block size caps memory only: at every block size, ragged or not,
-    # both simulators give the bytes and draw count of one pass over the path
+    # all three simulators give the bytes and draw count of one pass over
+    # the path
     for chunk in (1, 2, 3, 1000, 2**22):
         monkeypatch.setattr(sim, "_CHUNK", chunk)
         for x0 in (0.0, -0.0, 0.7):
@@ -192,24 +197,33 @@ def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
                 assert values.tobytes() == ref.tobytes(), (chunk, x0, sub, n_out)
                 assert got.count_drawn == want.count_drawn \
                     == max((n_out - 1) * sub - 1, 0)
+            for n_out in (1, 2, 3, 17, 12345):
+                got, want = GaussianStream(8), GaussianStream(8)
+                values = simulate_exact(cont, 1.0, n_out, got).values
+                ref = oracles.simulate_exact_reference(cont, 1.0, n_out, want)
+                assert values.tobytes() == ref.tobytes(), (chunk, x0, n_out)
+                assert got.count_drawn == want.count_drawn == 2 * (n_out - 1)
 
 
 def test_simulators_hold_a_few_blocks(monkeypatch):
     # beyond the output, each simulator holds a few blocks of _CHUNK doubles
-    # at once (the draws, U, X and the filter's result), not whole paths
+    # at once (the draws, U, X and the filter's result), not whole paths;
+    # the exact sampler draws a pair per step, so its draws fill two blocks
     monkeypatch.setattr(sim, "_CHUNK", 2**16)
     block = 8 * sim._CHUNK
     simulate_continuous(CONT, 0.1, 10, 11, GaussianStream(0))  # import scipy first
-    for run, n_out in ((lambda s: simulate_discrete(DISC, 2**20, s), 2**20),
-                       (lambda s: simulate_continuous(CONT, 0.1, 10, 2**17 + 1, s),
-                        2**17 + 1)):
+    for run, n_out, blocks in (
+            (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 3.5),
+            (lambda s: simulate_continuous(CONT, 0.1, 10, 2**17 + 1, s),
+             2**17 + 1, 3.5),
+            (lambda s: simulate_exact(CONT, 1.0, 2**17 + 1, s), 2**17 + 1, 4.5)):
         tracemalloc.start()
         try:
             run(GaussianStream(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n_out + 3.5 * block, (peak - 8 * n_out) / block
+        assert peak <= 8 * n_out + blocks * block, (peak - 8 * n_out) / block
 
 
 def test_continuous_subsample_picks_fine_grid_points():
@@ -244,6 +258,56 @@ def test_continuous_transient_forgets_start():
     assert np.max(np.abs(base[half:] - kicked[half:])) < 1e-10
     v0, v1 = base[half:].var(), kicked[half:].var()
     assert abs(v1 - v0) / v0 < 0.005
+
+
+# ---------------------------------------------------------------------------
+# exact sampler of the continuous system
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam, theta", [
+    (CONT.lam, CONT.theta), (CONT.theta, CONT.lam), (0.5, 0.02),
+    (0.1, 0.1), (0.1, 0.1 * (1 + 1e-9)), (0.1, 0.1 * (1 - 1e-9))])
+def test_exact_step_matches_van_loan(lam, theta):
+    # the closed forms (and the series below max(lam, theta) h = 0.05, on
+    # both sides of which the last two steps sit) against the block-matrix
+    # exponential, entry by entry
+    hi = max(lam, theta)
+    params = ContinuousSystemParams(lam, theta, 1.3)
+    for h in (1e-3, 0.1, 1.0, 10.0, 0.0499 / hi, 0.0501 / hi):
+        got = sim._exact_step(params, h)
+        want = oracles.restoring_step_vanloan(lam, theta, 1.3, h)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0,
+                                   err_msg=f"h={h}")
+
+
+def test_exact_stationary_moments():
+    # Var X = sigma^2 / (2 theta lam (lam + theta)), checked against the
+    # Lyapunov equation; the lag-1 covariance is (e^{Ah} P)_{XX}.  At 4e6
+    # unit steps their relative standard errors are about 0.3%.
+    from scipy.linalg import solve_continuous_lyapunov
+    lam, theta, sigma = CONT.lam, CONT.theta, 2.0
+    drift = np.array([[-theta, 0.0], [sigma, -lam]])
+    cov = solve_continuous_lyapunov(drift, -np.diag([1.0, 0.0]))
+    var_x = sigma ** 2 / (2.0 * theta * lam * (lam + theta))
+    assert cov[1, 1] == pytest.approx(var_x, rel=1e-12)
+    _, b, c, _, _, _ = oracles.restoring_step_vanloan(lam, theta, sigma, 1.0)
+    lag1 = c * cov[0, 1] + b * cov[1, 1]
+    x = simulate_exact(ContinuousSystemParams(lam, theta, sigma), 1.0,
+                       4_000_000, GaussianStream(14)).values[200:]
+    x = x - x.mean()
+    assert x.var() == pytest.approx(var_x, rel=0.015)
+    assert np.mean(x[:-1] * x[1:]) == pytest.approx(lag1, rel=0.015)
+
+
+def test_exact_has_no_step_limit_and_grid():
+    # lam dt = 3 is beyond Euler's limit; the exact step stays stable, and
+    # one value per step comes back on the requested grid
+    params = ContinuousSystemParams(30.0, 0.1, 1.0, x0=5.0)
+    out = simulate_exact(params, 0.1, 1001, GaussianStream(15))
+    assert out.dt == 0.1 and out.values.size == 1001
+    assert out.values[0] == 5.0 and np.all(np.abs(out.values) < 10.0)
+    np.testing.assert_array_equal(
+        simulate_exact(CONT, 1.0, 1, StubStream([])).values, [CONT.x0])
 
 
 # ---------------------------------------------------------------------------
