@@ -15,8 +15,8 @@ from .plateau import (PlateauReport, finite_psd_theoretical,
 from .series import TimeSeries, load_values, save_series, write_csv
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, euler_integrate,
-                       simulate_continuous, simulate_discrete,
-                       simulate_exact, stationary_autocorr)
+                       simulate_discrete, simulate_exact,
+                       stationary_autocorr)
 from .spectral import (AcfEstimate, AvgSpectrum, band_average, empirical_acf,
                        loglog_slope, periodogram)
 from .streams import GaussianStream
@@ -35,8 +35,8 @@ __all__ = [
     "psd_kernel_auto", "psd_kernel_cross",
     "TimeSeries", "load_values", "save_series", "write_csv",
     "ContinuousSystemParams", "DiscreteSystemParams",
-    "continuous_from_discrete", "euler_integrate", "simulate_continuous",
-    "simulate_discrete", "simulate_exact", "stationary_autocorr",
+    "continuous_from_discrete", "euler_integrate", "simulate_discrete",
+    "simulate_exact", "stationary_autocorr",
     "AcfEstimate", "AvgSpectrum", "band_average", "empirical_acf",
     "loglog_slope", "periodogram",
     "GaussianStream",

@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=FORMATS, default=None,
-                   help="csv (default) or f64le raw doubles")
+                   help="csv or f64le raw doubles (default: f64le for a "
+                        ".f64le suffix, else csv)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("psd", help="band-averaged periodogram of a series file")
@@ -153,9 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
-    fmt = args.format or ("f64le" if args.out.endswith(".f64le") else "csv")
     incr = increments(model, args.dt, args.n, GaussianStream(args.seed))
-    save_series(args.out, incr, fmt)
+    save_series(args.out, incr, args.format)
     mean = float(np.mean(incr.values))
     var = float(np.var(incr.values))
     print(f"OK generate n={args.n} dt={args.dt:g} seed={args.seed} "

@@ -42,7 +42,6 @@ class SpectrumComparison:
     omega_lo: float
     omega_hi: float
     max_rel_dev: float
-    n_compared: int
 
 
 @dataclass(frozen=True)
@@ -51,11 +50,9 @@ class SpectraResult:
 
     comparisons: tuple[SpectrumComparison, ...]
     red_slope: float
-    red_intercept: float
     n: int
     dt: float
     band_width: int
-    seed: int
 
 
 def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
@@ -81,7 +78,7 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
              ("mixed", Mixed(theta, gamma)))
     stream = GaussianStream(seed)
     comparisons = []
-    red_slope = red_intercept = math.nan
+    red_slope = math.nan
     for (name, model), child in zip(cases, stream.spawn(len(cases))):
         incr = increments(model, dt, n, child)
         avg = _band_spectrum(incr, band_width)
@@ -94,12 +91,11 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
         comparisons.append(SpectrumComparison(
             name=name, model=model, spectrum=avg, theory=theory,
             omega_lo=float(lo), omega_hi=float(hi),
-            max_rel_dev=float(rel.max()), n_compared=int(rel.size)))
+            max_rel_dev=float(rel.max())))
         if name == "red":
-            red_slope, red_intercept = loglog_slope(avg, 1.0, 10.0)
+            red_slope, _ = loglog_slope(avg, 1.0, 10.0)
     return SpectraResult(comparisons=tuple(comparisons), red_slope=red_slope,
-                         red_intercept=red_intercept, n=int(n), dt=float(dt),
-                         band_width=int(band_width), seed=int(seed))
+                         n=int(n), dt=float(dt), band_width=int(band_width))
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,8 @@ class RestoringResult:
 
     discrete: AcfComparison
     continuous: AcfComparison
-    params_discrete: DiscreteSystemParams
     params_continuous: ContinuousSystemParams
-    n: int
     burn_in: int
-    seed: int
 
 
 def _acf_vs_theory(label: str, series: TimeSeries, burn_in: int, max_lag: int,
@@ -163,5 +156,4 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     discrete = _acf_vs_theory("discrete", path_d, burn, max_lag, params_c)
     continuous = _acf_vs_theory("continuous", path_c, burn, max_lag, params_c)
     return RestoringResult(discrete=discrete, continuous=continuous,
-                           params_discrete=params_d, params_continuous=params_c,
-                           n=int(n), burn_in=burn, seed=int(seed))
+                           params_continuous=params_c, burn_in=burn)

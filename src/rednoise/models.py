@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .series import TimeSeries, _check_dt
+from .series import TimeSeries, _check_dt, _check_n
 from .streams import GaussianStream
 
 __all__ = [
@@ -181,18 +181,9 @@ def ar1_sample(phi: float, n: int, stream: GaussianStream,
     """
     _check_phi(phi)
     _check_init(init)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_n(n)
     x0 = stream.normal() / np.sqrt(1.0 - phi * phi) if init == "stationary" else 0.0
     return TimeSeries(dt=1.0, values=_ar1_recursion(phi, 1.0, x0, stream.fill(n - 1)))
-
-
-def _ou_step(theta: float, dt: float) -> tuple[float, float]:
-    """Coefficient ``exp(-theta dt)`` and innovation scale
-    ``sqrt((1 - exp(-2 theta dt)) / (2 theta))`` of the exact OU step."""
-    return (np.exp(-theta * dt),
-            np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta)))
 
 
 def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
@@ -208,10 +199,9 @@ def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
     _check_theta(theta)
     _check_init(init)
     dt = _check_dt(dt)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    coeff, scale = _ou_step(theta, dt)
+    n = _check_n(n)
+    coeff = np.exp(-theta * dt)
+    scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
     q0 = stream.normal() / np.sqrt(2.0 * theta) if init == "stationary" else 0.0
     return TimeSeries(dt=dt, values=_ar1_recursion(coeff, scale, q0, stream.fill(n - 1)))
 
@@ -232,9 +222,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     """
     _check_hurst(hurst)
     dt = _check_dt(dt)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_n(n)
     m2 = 2 * n
     row = np.empty(m2)            # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
     for a in range(0, n + 1, _FGN_BLOCK):
@@ -374,9 +362,7 @@ def increments(model: NoiseModel, dt: float, n: int,
     - ``Fgn``: 2n draws (circulant embedding).
     """
     dt = _check_dt(dt)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_n(n)
 
     if isinstance(model, White):
         values = np.sqrt(dt) * stream.fill(n)

@@ -10,6 +10,7 @@ back from either format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,15 @@ def _check_dt(dt) -> float:
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     return dt
+
+
+def _check_n(n, name: str = "n") -> int:
+    """A count of samples or steps: an integral value of at least 1."""
+    if not (isinstance(n, Real) and float(n).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {n}")
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {int(n)}")
+    return int(n)
 
 
 @dataclass
@@ -94,8 +104,18 @@ def write_csv(path, header: str, *columns) -> None:
             fh.write((row * rows) % tuple(flat[start * k:(start + rows) * k].tolist()))
 
 
-def save_series(path, series, fmt: str = "csv") -> None:
-    """Write a TimeSeries to ``path`` in the given format."""
+def _infer_format(path) -> str:
+    """``f64le`` for a ``.f64le`` suffix in any case, ``csv`` otherwise."""
+    return "f64le" if Path(path).suffix.lower() == ".f64le" else "csv"
+
+
+def save_series(path, series, fmt: str | None = None) -> None:
+    """Write a TimeSeries to ``path`` in the given format.
+
+    Without ``fmt`` the format follows the suffix, as in :func:`load_values`.
+    """
+    if fmt is None:
+        fmt = _infer_format(path)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "csv":
@@ -107,13 +127,15 @@ def save_series(path, series, fmt: str = "csv") -> None:
 def load_values(path, fmt: str | None = None, dt: float | None = None):
     """Read values (and step) back from a file written by :func:`save_series`.
 
-    Returns ``(values, dt)``.  For CSV the step is inferred from the ``t``
-    column (an explicit ``dt`` argument overrides it); for ``f64le`` the step
-    carries no representation in the file and must be supplied.
+    Returns ``(values, dt)``.  Without ``fmt`` the format follows the
+    suffix: ``.f64le`` in any case reads raw doubles, anything else CSV.  For
+    CSV the step is inferred from the ``t`` column (an explicit ``dt``
+    argument overrides it); for ``f64le`` the step carries no representation
+    in the file and must be supplied.
     """
     path = Path(path)
     if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "f64le"
+        fmt = _infer_format(path)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "f64le":

@@ -7,8 +7,9 @@ The discrete system is an AR(1) chain whose forcing is itself AR(1):
 The continuous counterpart is the linear SDE ``dX = -lam X dt + sigma U dt``
 driven by the OU process ``dU = -theta U dt + dW``.  The pair ``(U, X)`` is a
 linear Gaussian system, so :func:`simulate_exact` samples it exactly at any
-step; :func:`simulate_continuous` integrates X by explicit Euler on a fine
-grid and subsamples, which keeps a measurable Euler bias.  The two systems are
+step.  :func:`euler_integrate` advances X by explicit Euler over a given
+forcing; over ``increments(RedOuDt(theta, init="zero"), dt, n, stream)`` it
+integrates the same SDE with a measurable Euler bias.  The two systems are
 linked by ``lam = -ln(psi)``, ``theta = -ln(phi)`` and share the closed-form
 stationary autocovariance
 
@@ -19,19 +20,17 @@ returned by :func:`stationary_autocorr`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _ar1_recursion, _ou_step
-from .series import TimeSeries, _check_dt
+from .models import _ar1_recursion
+from .series import TimeSeries, _check_dt, _check_n
 from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
-           "continuous_from_discrete", "simulate_discrete",
-           "simulate_continuous", "simulate_exact", "euler_integrate",
-           "stationary_autocorr"]
+           "continuous_from_discrete", "simulate_discrete", "simulate_exact",
+           "euler_integrate", "stationary_autocorr"]
 
 # Steps processed per block by the simulators.  Blocked filtering with
 # carried state is bit-for-bit identical to filtering the whole path at once,
@@ -85,26 +84,25 @@ def continuous_from_discrete(params: DiscreteSystemParams) -> ContinuousSystemPa
                                   sigma=params.sigma, x0=params.x0)
 
 
-def _cascade(coeff_u: float, scale_u: float, coeff_x: float, sigma: float,
-             x0: float, gain: float, sub: int, n_out: int,
-             stream: GaussianStream,
+def _cascade(coeff_u: float, scale_u: float, coeff_x: float, x0: float,
+             gain: float, n_out: int, stream: GaussianStream,
              cross: tuple[float, float] | None = None) -> np.ndarray:
-    """Every ``sub``-th value of a two-stage AR(1) cascade, ``n_out`` in all.
+    """``n_out`` values of a two-stage AR(1) cascade, one per step.
 
     ``U_{k+1} = coeff_u U_k + scale_u z_k`` with ``U_0 = 0`` drives
-    ``X_{k+1} = coeff_x X_k + sigma (U_k gain)`` with ``X_0 = x0``; returns
-    ``X_0, X_sub, X_2sub, ...`` from ``max((n_out - 1) sub - 1, 0)`` draws.
-    With ``cross = (c_u, c_x)`` each step instead draws an interleaved pair
-    ``(z_k, w_k)``, ``2 (n_out - 1) sub`` draws in all, and X is driven by
+    ``X_{k+1} = coeff_x X_k + U_k gain`` with ``X_0 = x0``; returns
+    ``X_0 .. X_{n_out-1}`` from ``max(n_out - 2, 0)`` draws.  With
+    ``cross = (c_u, c_x)`` each step instead draws an interleaved pair
+    ``(z_k, w_k)``, ``2 (n_out - 1)`` draws in all, and X is driven by
     ``(U_k gain + c_u z_k) + c_x w_k``: the innovation of X shares ``z_k``
-    with that of U.  Steps run in ``_CHUNK``-step blocks, and only the last U
-    and the last X carry from block to block: restarting the recursion from
-    them gives the bytes of one pass over the whole path.
+    with that of U.  Steps run in ``_CHUNK``-step blocks, and each block
+    restarts from the last U and the last X written: this gives the bytes of
+    one pass over the whole path.
     """
-    n_steps = (n_out - 1) * sub          # X steps; they read U_0 .. U_{n_steps-1}
+    n_steps = n_out - 1                  # X steps; they read U_0 .. U_{n_steps-1}
     out = np.empty(n_out)
     out[0] = x0
-    u_last, x_last = 0.0, x0
+    u_last = 0.0
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         if cross is None:
@@ -123,11 +121,8 @@ def _cascade(coeff_u: float, scale_u: float, coeff_x: float, sigma: float,
                 z[k::2] *= coeff
                 f += z[k::2]
         del z
-        x = _ar1_recursion(coeff_x, sigma, x_last, f)       # X_start .. X_stop
-        x_last = x[-1]
-        first = -(-(start + 1) // sub)   # output index of the first X past X_start
-        out[first:stop // sub + 1] = x[first * sub - start::sub]
-        del u, f, x                      # free the blocks before the next draw
+        out[start + 1:stop + 1] = _ar1_recursion(coeff_x, 1.0, out[start], f)[1:]
+        del u, f                         # free the blocks before the next draw
     return out
 
 
@@ -138,17 +133,10 @@ def simulate_discrete(params: DiscreteSystemParams, n: int,
     Returns ``[X_0, ..., X_{n-1}]`` with ``X_0 = x0`` and ``eps_0 = 0``;
     consumes ``n - 2`` draws (the innovations z_0 .. z_{n-3}).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    values = _cascade(params.phi, 1.0, params.psi, params.sigma, params.x0,
-                      gain=1.0, sub=1, n_out=n, stream=stream)
+    n = _check_n(n)
+    values = _cascade(params.phi, 1.0, params.psi, params.x0,
+                      gain=params.sigma, n_out=n, stream=stream)
     return TimeSeries(dt=1.0, values=values)
-
-
-def _check_euler_step(lam: float, dt: float):
-    if lam * dt >= 2.0:
-        raise ValueError(f"Euler diverges for lam*dt >= 2, got lam*dt={lam * dt}")
 
 
 def euler_integrate(lam: float, sigma: float, x0: float,
@@ -162,7 +150,9 @@ def euler_integrate(lam: float, sigma: float, x0: float,
     """
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    _check_euler_step(lam, forcing.dt)
+    if lam * forcing.dt >= 2.0:
+        raise ValueError(
+            f"Euler diverges for lam*dt >= 2, got lam*dt={lam * forcing.dt}")
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if not np.isfinite(x0):
@@ -171,45 +161,6 @@ def euler_integrate(lam: float, sigma: float, x0: float,
         raise ValueError("forcing must be non-empty")
     values = _ar1_recursion(1.0 - lam * forcing.dt, sigma, x0, forcing.values)
     return TimeSeries(dt=forcing.dt, values=values)
-
-
-def simulate_continuous(params: ContinuousSystemParams, dt_fine: float,
-                        subsample: int, n_out: int,
-                        stream: GaussianStream) -> TimeSeries:
-    """Integrate the restoring SDE on the fine grid and subsample.
-
-    The OU forcing U starts at 0 and is advanced by its exact one-step
-    recursion at ``dt_fine``; X is advanced by explicit Euler
-    ``X_{k+1} = (1 - lam dt_fine) X_k + sigma U_k dt_fine``; every
-    ``subsample``-th fine value of X is emitted, ``n_out`` values in all
-    (the first is ``x0``), on the grid ``dt_fine * subsample``.  Consumes
-    ``max((n_out - 1) subsample - 1, 0)`` draws.  Rejects
-    ``lam * dt_fine >= 2``, where Euler diverges, and warns if
-    ``lam * dt_fine > 0.05``, where Euler bias starts to be visible at the
-    tolerances used elsewhere.
-
-    The output is identical to ``euler_integrate`` applied to the same
-    OU-times-dt forcing; it is generated in ``_CHUNK``-step blocks, so the
-    working memory beyond the output is a few blocks.  :func:`simulate_exact`
-    samples the same system without a fine grid or Euler bias; this path
-    stays to measure that bias.
-    """
-    if not (np.isfinite(dt_fine) and dt_fine > 0):
-        raise ValueError(f"dt_fine must be positive, got {dt_fine}")
-    if int(subsample) != subsample or subsample < 1:
-        raise ValueError(f"subsample must be a positive integer, got {subsample}")
-    if int(n_out) != n_out or n_out < 1:
-        raise ValueError(f"n_out must be a positive integer, got {n_out}")
-    lam, dt = params.lam, float(dt_fine)
-    _check_euler_step(lam, dt)
-    if lam * dt > 0.05:
-        warnings.warn(
-            f"lam*dt_fine = {lam * dt:.3g} > 0.05: Euler discretization error "
-            "may exceed the tolerances this package is validated at",
-            RuntimeWarning, stacklevel=2)
-    values = _cascade(*_ou_step(params.theta, dt), 1.0 - lam * dt, params.sigma,
-                      params.x0, dt, int(subsample), int(n_out), stream)
-    return TimeSeries(dt=dt * int(subsample), values=values)
 
 
 # Below this max(lam, theta) * h the closed-form covariances of _exact_step
@@ -284,14 +235,12 @@ def simulate_exact(params: ContinuousSystemParams, dt: float, n_out: int,
     blocks, and the bytes do not depend on the block size.
     """
     dt = _check_dt(dt)
-    if int(n_out) != n_out or n_out < 1:
-        raise ValueError(f"n_out must be a positive integer, got {n_out}")
+    n_out = _check_n(n_out, "n_out")
     a, b, c, q11, q12, q22 = _exact_step(params, dt)
     l11 = np.sqrt(q11)
     l21 = q12 / l11
     l22 = np.sqrt(max(q22 - l21 * l21, 0.0))
-    values = _cascade(a, l11, b, 1.0, params.x0, c, 1, int(n_out), stream,
-                      cross=(l21, l22))
+    values = _cascade(a, l11, b, params.x0, c, n_out, stream, cross=(l21, l22))
     return TimeSeries(dt=dt, values=values)
 
 

@@ -258,30 +258,6 @@ def simulate_discrete_reference(params, n: int, stream) -> np.ndarray:
     return _ar1_whole(params.psi, params.sigma, params.x0, eps)[:n]
 
 
-def simulate_continuous_reference(params, dt: float, sub: int, n_out: int,
-                                  stream) -> np.ndarray:
-    """The subsampled Euler path of the restoring SDE, filtered whole.
-
-    U is the exact OU recursion from ``U_0 = 0`` over ``(n_out - 1) sub - 1``
-    draws; X is Euler over the whole forcing ``U dt``, and every ``sub``-th
-    value is kept.  Same draws and floating-point operations as
-    ``rednoise.simulate_continuous``, so its blocked form must return the
-    same bytes.
-    """
-    out = np.empty(n_out)
-    out[0] = params.x0
-    if n_out == 1:
-        return out
-    n_force = (n_out - 1) * sub
-    theta = params.theta
-    coeff_u = np.exp(-theta * dt)
-    scale_u = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
-    u = _ar1_whole(coeff_u, scale_u, 0.0, stream.fill(n_force - 1))
-    x = _ar1_whole(1.0 - params.lam * dt, params.sigma, params.x0, u * dt)
-    out[1:] = x[sub::sub]
-    return out
-
-
 def simulate_exact_reference(params, dt: float, n_out: int, stream) -> np.ndarray:
     """The exactly sampled restoring SDE with each stage filtered whole.
 

@@ -35,8 +35,8 @@ from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU, Fgn,
                       GaussianStream, Mixed, RedOuDt, White, band_average,
                       fgn_sample, increments, loglog_slope, ou_exact_sample,
                       periodogram, plateau_experiment, psd_kernel_auto,
-                      psd_kernel_cross, restoring_run, simulate_continuous,
-                      simulate_discrete, spectra_run, stationary_autocorr,
+                      psd_kernel_cross, restoring_run, simulate_discrete,
+                      simulate_exact, spectra_run, stationary_autocorr,
                       theoretical_psd, DiscreteSystemParams)
 from rednoise.cli import FIG1_SEED, FIG2_SEED, THEOREM_SEED
 
@@ -263,8 +263,8 @@ def test_criterion_9_algebraic_identities():
         simulate_discrete(disc, 5000, GaussianStream(22)).values)
     cont = ContinuousSystemParams(0.2, 0.1, 1.0)
     np.testing.assert_array_equal(
-        simulate_continuous(cont, 0.1, 10, 501, GaussianStream(23)).values,
-        simulate_continuous(cont, 0.1, 10, 501, GaussianStream(23)).values)
+        simulate_exact(cont, 1.0, 501, GaussianStream(23)).values,
+        simulate_exact(cont, 1.0, 501, GaussianStream(23)).values)
     _report(9, True, "rate-exchange symmetry (200 random triples, bitwise), "
                      "S_du + theta^2 S_red = 1 and the mixed-decomposition "
                      "identity (exact on 500-point grids), determinism of "

@@ -79,6 +79,31 @@ def test_generate_format_inference(tmp_path, capsys):
     assert text.read_text().startswith("t,value")
 
 
+@pytest.mark.parametrize("name, raw", [("w.txt", False), ("w.F64LE", True)])
+def test_generated_file_reads_back_without_format(tmp_path, capsys, name, raw):
+    # generate and the readers infer the format by one rule: f64le for a
+    # .f64le suffix in any case, CSV for every other name
+    path = tmp_path / name
+    assert run(capsys, "generate", "--model", "model=ar1 phi=0.9",
+               "--n", "1003", "--seed", "4", "--out", str(path))[0] == 0
+    if raw:
+        assert path.stat().st_size == 8 * 1003
+    else:
+        assert path.read_text().startswith("t,value\n")
+    step = ("--dt", "1") if raw else ()
+    series = increments(Ar1Driven(0.9), 1.0, 1003, GaussianStream(4))
+    spec, acf = tmp_path / "spec.csv", tmp_path / "acf.csv"
+    assert run(capsys, "psd", "--in", str(path), *step,
+               "--out", str(spec))[0] == 0
+    data = np.loadtxt(spec, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 1], periodogram(series).powers)
+    code, _, err = run(capsys, "acf", "--in", str(path), *step,
+                       "--max-lag", "5", "--out", str(acf))
+    assert code == 0 and err == ""
+    data = np.loadtxt(acf, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 1], empirical_acf(series, 5).values)
+
+
 # ---------------------------------------------------------------------------
 # psd / acf / slope pipeline
 # ---------------------------------------------------------------------------

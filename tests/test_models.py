@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,14 @@ from scipy.integrate import quad
 
 import oracles
 from conftest import StubStream
-from rednoise import (Ar1Driven, DiffU, Fgn, GaussianStream, Mixed, RedOuDt,
+from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
+                      DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
                       White, ar1_autocov, ar1_sample, band_average,
                       fbm_autocov, fgn_increment_cov, fgn_sample, format_model,
                       increments, ou_autocov, ou_exact_sample,
                       ou_increment_cov, parse_model, periodogram,
-                      theoretical_acf, theoretical_psd)
+                      simulate_discrete, simulate_exact, theoretical_acf,
+                      theoretical_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +93,26 @@ def test_bad_step_rejected_before_any_draw(dt):
         with pytest.raises(ValueError, match="dt must be positive"):
             sample(stream)
         assert stream.count_drawn == 0
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.9])
+@pytest.mark.parametrize("sample", [
+    lambda n, s: ar1_sample(0.9, n, s),
+    lambda n, s: ou_exact_sample(0.1, 1.0, n, s),
+    lambda n, s: fgn_sample(0.7, 1.0, n, s),
+    lambda n, s: increments(White(), 1.0, n, s),
+    lambda n, s: simulate_discrete(DiscreteSystemParams(0.8, 0.9, 1.0), n, s),
+    lambda n, s: simulate_exact(ContinuousSystemParams(0.2, 0.1, 1.0), 1.0, n, s),
+], ids=["ar1_sample", "ou_exact_sample", "fgn_sample", "increments",
+        "simulate_discrete", "simulate_exact"])
+def test_bad_count_rejected_before_any_draw(sample, n):
+    # a count must be an integer of at least 1: 2.9 is not rounded down
+    stream = GaussianStream(0)
+    want = "must be an integer, got 2.9" if n == 2.9 \
+        else f"must be at least 1, got {n}"
+    with pytest.raises(ValueError, match=r"^n(_out)? " + re.escape(want) + "$"):
+        sample(n, stream)
+    assert stream.count_drawn == 0
 
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values

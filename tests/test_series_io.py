@@ -66,6 +66,14 @@ def test_format_inferred_from_suffix(tmp_path):
     save_series(raw_path, TimeSeries(1.0, values), fmt="f64le")
     np.testing.assert_array_equal(load_values(csv_path)[0], values)
     np.testing.assert_array_equal(load_values(raw_path, dt=1.0)[0], values)
+    # without a format, writing follows the reader's rule: raw for .f64le in
+    # any case, CSV for every other suffix
+    for name, size in (("b.F64LE", 8 * 64), ("b.txt", None)):
+        save_series(tmp_path / name, TimeSeries(1.0, values))
+        if size:
+            assert (tmp_path / name).stat().st_size == size
+        np.testing.assert_array_equal(
+            load_values(tmp_path / name, dt=1.0)[0], values)
 
 
 def test_dt_handling(tmp_path):

@@ -8,10 +8,10 @@ import oracles
 import rednoise.simulate as sim
 from conftest import StubStream
 from rednoise import (ContinuousSystemParams, DiscreteSystemParams,
-                      GaussianStream, RedOuDt, TimeSeries,
-                      White, continuous_from_discrete, euler_integrate,
-                      increments, ou_exact_sample, simulate_continuous,
-                      simulate_discrete, simulate_exact, stationary_autocorr)
+                      GaussianStream, TimeSeries, White,
+                      continuous_from_discrete, euler_integrate, increments,
+                      ou_exact_sample, simulate_discrete, simulate_exact,
+                      stationary_autocorr)
 
 DISC = DiscreteSystemParams(psi=0.8, phi=0.9, sigma=1.0)
 CONT = continuous_from_discrete(DISC)
@@ -30,9 +30,9 @@ CONT = continuous_from_discrete(DISC)
     lambda: ContinuousSystemParams(0.0, 0.1, 1.0),
     lambda: ContinuousSystemParams(0.2, -0.1, 1.0),
     lambda: ContinuousSystemParams(0.2, 0.1, -1.0),
-    lambda: simulate_continuous(CONT, 0.0, 10, 100, GaussianStream(0)),
-    lambda: simulate_continuous(CONT, 0.1, 0, 100, GaussianStream(0)),
-    lambda: simulate_continuous(CONT, 0.1, 10, 0, GaussianStream(0)),
+    lambda: ContinuousSystemParams(float("inf"), 0.1, 1.0),
+    lambda: ContinuousSystemParams(0.2, 0.1, 1.0, x0=float("inf")),
+    lambda: DiscreteSystemParams(0.8, 0.9, float("nan")),
     lambda: simulate_exact(CONT, 0.0, 100, GaussianStream(0)),
     lambda: simulate_exact(CONT, float("nan"), 100, GaussianStream(0)),
     lambda: simulate_exact(CONT, 1.0, 0, GaussianStream(0)),
@@ -123,9 +123,6 @@ def test_euler_rejects_bad_input():
         euler_integrate(0.1, float("nan"), 0.0, forcing)
     with pytest.raises(ValueError, match=r"lam\*dt=2.0"):
         euler_integrate(20.0, 1.0, 0.0, forcing)
-    with pytest.raises(ValueError, match=r"lam\*dt=3.0"):
-        simulate_continuous(ContinuousSystemParams(30.0, 0.1, 1.0),
-                            0.1, 10, 5, GaussianStream(0))
     # just below 2 the step is stable, if oscillating
     out = euler_integrate(19.9, 0.0, 1.0, forcing).values
     assert np.all(np.diff(np.abs(out)) < 0.0)
@@ -160,49 +157,31 @@ def test_euler_strong_convergence_rate():
 
 
 # ---------------------------------------------------------------------------
-# continuous path generation
+# blocked cascade
 # ---------------------------------------------------------------------------
-
-def test_continuous_matches_increment_composition():
-    # building the forcing with the public increments() API and integrating
-    # it must reproduce simulate_continuous bit for bit
-    path = simulate_continuous(CONT, 0.1, 1, 5001, GaussianStream(5))
-    forcing = increments(RedOuDt(CONT.theta, init="zero"), 0.1, 5000,
-                         GaussianStream(5))
-    direct = euler_integrate(CONT.lam, CONT.sigma, CONT.x0, forcing)
-    np.testing.assert_array_equal(path.values, direct.values)
-    assert path.dt == direct.dt
-
 
 def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
     # the block size caps memory only: at every block size, ragged or not,
-    # all three simulators give the bytes and draw count of one pass over
-    # the path
+    # both simulators give the bytes and draw count of one pass over the
+    # path; sigma != 1 checks where the cascade folds it into the U gain
     for chunk in (1, 2, 3, 1000, 2**22):
         monkeypatch.setattr(sim, "_CHUNK", chunk)
-        for x0 in (0.0, -0.0, 0.7):
-            disc = DiscreteSystemParams(DISC.psi, DISC.phi, DISC.sigma, x0=x0)
-            for n in (1, 2, 3, 17, 12345):
-                got, want = GaussianStream(6), GaussianStream(6)
-                values = simulate_discrete(disc, n, got).values
-                ref = oracles.simulate_discrete_reference(disc, n, want)
-                assert values.tobytes() == ref.tobytes(), (chunk, x0, n)
-                assert got.count_drawn == want.count_drawn == max(n - 2, 0)
-            cont = continuous_from_discrete(disc)
-            for sub, n_out in ((1, 1), (1, 2), (10, 2), (7, 701), (10, 1234)):
-                got, want = GaussianStream(7), GaussianStream(7)
-                values = simulate_continuous(cont, 0.1, sub, n_out, got).values
-                ref = oracles.simulate_continuous_reference(cont, 0.1, sub,
-                                                            n_out, want)
-                assert values.tobytes() == ref.tobytes(), (chunk, x0, sub, n_out)
-                assert got.count_drawn == want.count_drawn \
-                    == max((n_out - 1) * sub - 1, 0)
-            for n_out in (1, 2, 3, 17, 12345):
-                got, want = GaussianStream(8), GaussianStream(8)
-                values = simulate_exact(cont, 1.0, n_out, got).values
-                ref = oracles.simulate_exact_reference(cont, 1.0, n_out, want)
-                assert values.tobytes() == ref.tobytes(), (chunk, x0, n_out)
-                assert got.count_drawn == want.count_drawn == 2 * (n_out - 1)
+        for sigma in (1.0, 1.7):
+            for x0 in (0.0, -0.0, 0.7):
+                disc = DiscreteSystemParams(DISC.psi, DISC.phi, sigma, x0=x0)
+                for n in (1, 2, 3, 17, 12345):
+                    got, want = GaussianStream(6), GaussianStream(6)
+                    values = simulate_discrete(disc, n, got).values
+                    ref = oracles.simulate_discrete_reference(disc, n, want)
+                    assert values.tobytes() == ref.tobytes(), (chunk, sigma, x0, n)
+                    assert got.count_drawn == want.count_drawn == max(n - 2, 0)
+                cont = continuous_from_discrete(disc)
+                for n_out in (1, 2, 3, 17, 12345):
+                    got, want = GaussianStream(8), GaussianStream(8)
+                    values = simulate_exact(cont, 1.0, n_out, got).values
+                    ref = oracles.simulate_exact_reference(cont, 1.0, n_out, want)
+                    assert values.tobytes() == ref.tobytes(), (chunk, sigma, x0, n_out)
+                    assert got.count_drawn == want.count_drawn == 2 * (n_out - 1)
 
 
 def test_simulators_hold_a_few_blocks(monkeypatch):
@@ -211,11 +190,9 @@ def test_simulators_hold_a_few_blocks(monkeypatch):
     # the exact sampler draws a pair per step, so its draws fill two blocks
     monkeypatch.setattr(sim, "_CHUNK", 2**16)
     block = 8 * sim._CHUNK
-    simulate_continuous(CONT, 0.1, 10, 11, GaussianStream(0))  # import scipy first
+    simulate_exact(CONT, 1.0, 11, GaussianStream(0))      # import scipy first
     for run, n_out, blocks in (
             (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 3.5),
-            (lambda s: simulate_continuous(CONT, 0.1, 10, 2**17 + 1, s),
-             2**17 + 1, 3.5),
             (lambda s: simulate_exact(CONT, 1.0, 2**17 + 1, s), 2**17 + 1, 4.5)):
         tracemalloc.start()
         try:
@@ -224,40 +201,6 @@ def test_simulators_hold_a_few_blocks(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n_out + blocks * block, (peak - 8 * n_out) / block
-
-
-def test_continuous_subsample_picks_fine_grid_points():
-    fine = simulate_continuous(CONT, 0.1, 1, 2001, GaussianStream(7))
-    coarse = simulate_continuous(CONT, 0.1, 10, 201, GaussianStream(7))
-    np.testing.assert_array_equal(coarse.values, fine.values[::10])
-    assert coarse.dt == pytest.approx(1.0)
-
-
-def test_continuous_single_sample_and_draws():
-    out = simulate_continuous(CONT, 0.1, 10, 1, GaussianStream(8))
-    np.testing.assert_array_equal(out.values, [CONT.x0])
-    stream = GaussianStream(9)
-    simulate_continuous(CONT, 0.1, 10, 11, stream)
-    assert stream.count_drawn == 99              # (n_out-1)*sub - 1
-
-
-def test_continuous_coarse_step_warns():
-    params = ContinuousSystemParams(2.0, 0.1, 1.0)
-    with pytest.warns(RuntimeWarning):
-        simulate_continuous(params, 0.1, 1, 11, GaussianStream(10))
-
-
-def test_continuous_transient_forgets_start():
-    # same seed, x0 = 10 vs 0: the second half of the run must agree to well
-    # under 0.5% (the deterministic transient has fully decayed)
-    base = simulate_continuous(CONT, 0.1, 1, 1_000_001, GaussianStream(11)).values
-    kicked = simulate_continuous(
-        ContinuousSystemParams(CONT.lam, CONT.theta, CONT.sigma, x0=10.0),
-        0.1, 1, 1_000_001, GaussianStream(11)).values
-    half = len(base) // 2
-    assert np.max(np.abs(base[half:] - kicked[half:])) < 1e-10
-    v0, v1 = base[half:].var(), kicked[half:].var()
-    assert abs(v1 - v0) / v0 < 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +240,19 @@ def test_exact_stationary_moments():
     x = x - x.mean()
     assert x.var() == pytest.approx(var_x, rel=0.015)
     assert np.mean(x[:-1] * x[1:]) == pytest.approx(lag1, rel=0.015)
+
+
+def test_continuous_transient_forgets_start():
+    # same seed, x0 = 10 vs 0: the second half of the run must agree to well
+    # under 0.5% (the deterministic transient has fully decayed)
+    base = simulate_exact(CONT, 0.1, 1_000_001, GaussianStream(11)).values
+    kicked = simulate_exact(
+        ContinuousSystemParams(CONT.lam, CONT.theta, CONT.sigma, x0=10.0),
+        0.1, 1_000_001, GaussianStream(11)).values
+    half = len(base) // 2
+    assert np.max(np.abs(base[half:] - kicked[half:])) < 1e-10
+    v0, v1 = base[half:].var(), kicked[half:].var()
+    assert abs(v1 - v0) / v0 < 0.005
 
 
 def test_exact_has_no_step_limit_and_grid():
@@ -376,7 +332,7 @@ def test_discrete_and_continuous_acf_agree_with_formula():
     xd = simulate_discrete(DISC, n, GaussianStream(12)).values[burn:]
     xd = xd - xd.mean()
     vd = xd.var()
-    xc = simulate_continuous(CONT, 0.1, 10, n // 10, GaussianStream(13)).values[burn:]
+    xc = simulate_exact(CONT, 1.0, n // 10, GaussianStream(13)).values[burn:]
     xc = xc - xc.mean()
     vc = xc.var()
     for lag in (1, 2, 5, 10):
