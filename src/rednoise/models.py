@@ -51,6 +51,9 @@ _LOG_TINY = -np.log(_TINY)
 
 # Points per block when fgn_sample fills its workspace.
 _FGN_BLOCK = 2**16
+# Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
+# doubles (64 KB).
+_AR1_BLOCK = 2**12
 
 
 def _check_phi(phi):
@@ -152,22 +155,34 @@ NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
 # samplers
 # ---------------------------------------------------------------------------
 
-def lfilter(b, a, x, zi=None):
-    """``scipy.signal.lfilter``, imported on first call.
-
-    Only the filtering samplers need scipy, so the analysis commands never
-    pay for its import.
-    """
-    from scipy.signal import lfilter as _lfilter
-    return _lfilter(b, a, x, zi=zi)
-
-
 def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.ndarray:
-    """x_{k+1} = coeff * x_k + scale * z_k, returning [x0, x1, ..., x_n]."""
+    """x_{k+1} = coeff * x_k + scale * z_k, returning [x0, x1, ..., x_n].
+
+    The path solves the bidiagonal system ``(I - coeff S) y = r``, with ``S``
+    the shift, ``r_0 = scale z_0 + coeff x0`` and ``r_k = scale z_k``.  The
+    scaled draws are written into ``out[1:]`` and solved there in place by
+    BLAS ``dtbsv``, in ``_AR1_BLOCK``-point blocks; each block first adds
+    ``coeff`` times the last value written to its first ``r``.
+
+    Rounding contract: the bits of scipy's ``lfilter([scale], [1, -coeff],
+    z, zi=[coeff x0])`` at every block size, without the second-long import
+    of its signal module.  The band is stored in upper form, rows
+    ``[-coeff, 1]``, and solved transposed with a unit diagonal, so each
+    step is ``r_k - (-coeff) y_{k-1}``: one rounded product, then one
+    rounded sum, as in ``lfilter``.  The lower, non-transposed form runs
+    through OpenBLAS's fused multiply-add kernel and rounds differently.
+    """
+    from scipy.linalg.blas import dtbsv     # only the filtering samplers load scipy
     out = np.empty(z.size + 1)
     out[0] = x0
-    if z.size:
-        out[1:], _ = lfilter([scale], [1.0, -coeff], z, zi=np.array([coeff * x0]))
+    np.multiply(z, scale, out=out[1:])
+    band = np.empty((2, min(_AR1_BLOCK, z.size)), order="F")
+    band[0] = -coeff
+    band[1] = 1.0
+    for a in range(1, z.size + 1, _AR1_BLOCK):
+        b = min(a + _AR1_BLOCK, z.size + 1)
+        out[a] += coeff * out[a - 1]
+        dtbsv(1, band[:, :b - a], out[a:b], trans=1, diag=1, overwrite_x=1)
     return out
 
 

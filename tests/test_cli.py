@@ -286,6 +286,29 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
+def test_filtering_commands_never_import_scipy_signal(tmp_path):
+    # the AR(1) recursion solves a banded system through scipy.linalg.blas;
+    # a red sample and a small fig2 (whose 1% gate fails at this n, exit 1)
+    # must filter without loading scipy.signal
+    script = f"""
+import sys
+from rednoise.cli import main
+d = {str(tmp_path)!r}
+assert main(["generate", "--model", "model=red theta=0.1", "--n", "1000",
+             "--out", d + "/r.csv"]) == 0
+assert main(["fig2", "--n", "20000", "--out", d + "/fig2"]) in (0, 1)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.signal"))
+assert not loaded, loaded
+"""
+    src = str(Path(rednoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "fig2" / "continuous.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # theorem command
 # ---------------------------------------------------------------------------

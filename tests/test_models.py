@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
+import rednoise.models as models
 from conftest import StubStream
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
@@ -122,6 +123,25 @@ def test_ar1_hand_recursion():
     out = ar1_sample(0.9, 3, StubStream([1.0, -0.5]), init="zero")
     np.testing.assert_allclose(out.values, [0.0, 1.0, 0.4], rtol=1e-15)
     assert out.dt == 1.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, models._AR1_BLOCK])
+def test_ar1_recursion_gives_lfilter_bytes(monkeypatch, block):
+    # the blocked banded solve rounds as lfilter does, at every block size
+    # and on both sides of each block edge; negative coefficients are Euler
+    # steps at lam*dt in (1, 2).  A BLAS kernel that fuses the multiply and
+    # add, or reorders the sum, fails here.
+    monkeypatch.setattr(models, "_AR1_BLOCK", block)
+    stream = GaussianStream(11)
+    for coeff in (0.0, 0.3, np.exp(-0.01), np.exp(-1e-4), 1.0 - 1e-7, 1.0,
+                  -0.5, -0.9):
+        for x0 in (0.0, -0.0, 0.7):
+            for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+                z = stream.fill(n)
+                for scale in (1.0, 0.37):
+                    got = models._ar1_recursion(coeff, scale, x0, z)
+                    want = oracles._ar1_whole(coeff, scale, x0, z)
+                    assert got.tobytes() == want.tobytes(), (coeff, x0, n, scale)
 
 
 def test_ou_one_step_coefficients():

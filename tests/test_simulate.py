@@ -186,14 +186,15 @@ def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
 
 def test_simulators_hold_a_few_blocks(monkeypatch):
     # beyond the output, each simulator holds a few blocks of _CHUNK doubles
-    # at once (the draws, U, X and the filter's result), not whole paths;
-    # the exact sampler draws a pair per step, so its draws fill two blocks
+    # at once (the draws or U, and the recursion's output, solved in place),
+    # not whole paths; the exact sampler draws a pair per step, so its draws
+    # fill two blocks
     monkeypatch.setattr(sim, "_CHUNK", 2**16)
     block = 8 * sim._CHUNK
     simulate_exact(CONT, 1.0, 11, GaussianStream(0))      # import scipy first
     for run, n_out, blocks in (
-            (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 3.5),
-            (lambda s: simulate_exact(CONT, 1.0, 2**17 + 1, s), 2**17 + 1, 4.5)):
+            (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 2.5),
+            (lambda s: simulate_exact(CONT, 1.0, 2**17 + 1, s), 2**17 + 1, 3.5)):
         tracemalloc.start()
         try:
             run(GaussianStream(1))
