@@ -25,7 +25,7 @@ from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
 # under these names because bench/traced_cli.py wraps them in this module.
 from .spectral import (AcfEstimate, AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
                        empirical_acf, loglog_slope, periodogram)
-from .streams import GaussianStream
+from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",
            "RestoringResult", "spectra_run", "restoring_run"]
@@ -142,18 +142,24 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     estimation (the closed form is the asymptotic law), then their
     autocorrelations at lags 0..max_lag are compared with the closed form.
     Separate substreams drive the two simulations, so they are independent
-    realizations.
+    realizations.  The two systems run on two threads, each simulating its
+    path, taking its ACF and freeing the path; every result has the bits of
+    running them one after the other.
     """
     params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
     params_c = continuous_from_discrete(params_d)
-    stream = GaussianStream(seed)
-    child_d, child_c = stream.spawn(2)
+    dt = 1.0                            # the discrete chain's unit grid
+    burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / dt))
+    simulators = {
+        "discrete": lambda child: simulate_discrete(params_d, n, child),
+        "continuous": lambda child: simulate_exact(params_c, dt, n, child)}
 
-    path_d = simulate_discrete(params_d, n, child_d)
-    path_c = simulate_exact(params_c, path_d.dt, n, child_c)
+    def compare(job):
+        label, child = job
+        return _acf_vs_theory(label, simulators[label](child), burn, max_lag,
+                              params_c)
 
-    burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / path_d.dt))
-    discrete = _acf_vs_theory("discrete", path_d, burn, max_lag, params_c)
-    continuous = _acf_vs_theory("continuous", path_c, burn, max_lag, params_c)
+    discrete, continuous = _map_substreams(
+        compare, zip(simulators, GaussianStream(seed).spawn(2)))
     return RestoringResult(discrete=discrete, continuous=continuous,
                            params_continuous=params_c, burn_in=burn)

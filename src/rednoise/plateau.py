@@ -26,7 +26,7 @@ import numpy as np
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
 from .series import TimeSeries, _check_dt
 from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
-from .streams import GaussianStream
+from .streams import GaussianStream, _map_substreams
 
 __all__ = ["PlateauReport", "psd_kernel_auto", "psd_kernel_cross",
            "finite_psd_theoretical", "plateau_experiment"]
@@ -142,7 +142,9 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     averaged power over ``plateau_band``; for nonzero ``beta`` it must land
     within 5% of ``beta**2``, for ``beta = 0`` the fitted log-log slope over
     the band must be -2 +/- 0.2 (pure red noise keeps decaying; any Brownian
-    admixture pins the plateau at its squared amplitude).
+    admixture pins the plateau at its squared amplitude).  Replicas run on
+    two threads, at most four in flight, and their powers are summed in
+    replica order, so the result has the bits of a serial loop.
 
     Preconditions: ``replicas >= 32`` and ``dt <= 2 pi / (10 * max(omegas))``
     so every reported frequency sits far below Nyquist.
@@ -179,11 +181,14 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     if n < 16:
         raise ValueError(f"horizon T={t} at dt={dt} gives only {n} steps")
     theta = alpha_model.theta
-    mean_powers = None
-    for child in stream.spawn(replicas):
+
+    def replica(child):
         u = ou_exact_sample(theta, dt, n, child, init=alpha_model.init)
         dy = u.values * dt + beta * np.sqrt(dt) * child.fill(n)
-        pg = periodogram(TimeSeries(dt=dt, values=dy))
+        return periodogram(TimeSeries(dt=dt, values=dy))
+
+    mean_powers = None
+    for pg in _map_substreams(replica, stream.spawn(replicas), in_flight=4):
         mean_powers = pg.powers if mean_powers is None \
             else mean_powers + pg.powers
     mean_powers /= replicas

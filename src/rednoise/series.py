@@ -9,6 +9,7 @@ back from either format.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from numbers import Real
 from pathlib import Path
@@ -141,10 +142,13 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
     if fmt == "f64le":
         if dt is None:
             raise ValueError("dt is required when reading f64le data")
-        raw = path.read_bytes()
-        if len(raw) % 8:
-            raise ValueError(f"{path}: size {len(raw)} bytes is not a multiple of 8")
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size % 8:
+                raise ValueError(f"{path}: size {size} bytes is not a multiple of 8")
+            # read straight into the one array returned (a no-op cast on a
+            # little-endian machine)
+            values = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
         return values, _check_dt(dt)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:

@@ -32,10 +32,12 @@ __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
            "continuous_from_discrete", "simulate_discrete", "simulate_exact",
            "euler_integrate", "stationary_autocorr"]
 
-# Steps processed per block by the simulators.  Blocked filtering with
-# carried state is bit-for-bit identical to filtering the whole path at once,
-# so this only caps memory, never changes output.
-_CHUNK = 1 << 22
+# Steps processed per block by the simulators (512 KB of draws per block).
+# Blocked filtering with carried state is bit-for-bit identical to filtering
+# the whole path at once, so this only caps memory, never changes output:
+# beyond the output path a simulator holds a few blocks, already at the 2e6
+# steps of ``fig2 --quick``.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ variance reduction comes from band averaging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -21,6 +22,11 @@ __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
 
 # Periodogram bins per chunk in _band_spectrum (rounded down to whole bands).
 _BAND_CHUNK = 1 << 16
+
+# Largest leaf of empirical_acf's summation tree, in points; each leaf is
+# formed and summed in buffers of about this size.  At least 128, the size
+# below which numpy itself stops splitting.
+_ACF_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,86 @@ def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
     return AvgSpectrum(omegas=omegas, powers=powers, band_width=band_width)
 
 
+def _split(k: int) -> int:
+    """Length of the first half where numpy's pairwise sum splits ``k``
+    points: half, rounded down to a multiple of 8."""
+    h = k // 2
+    return h - h % 8
+
+
+def _leaves(start: int, k: int):
+    """``(start, length)`` of each leaf of :func:`_pairwise`, in order."""
+    if k <= _ACF_LEAF:
+        yield start, k
+    else:
+        h = _split(k)
+        yield from _leaves(start, h)
+        yield from _leaves(start + h, k - h)
+
+
+def _pairwise(leaf_sum, start: int, k: int) -> float:
+    """numpy's pairwise sum of ``k`` points from ``start``, split into leaves.
+
+    Splits as ``np.sum`` of a contiguous float64 array does until a piece
+    fits in ``_ACF_LEAF`` points; ``leaf_sum(a, j)``, which must be
+    ``np.sum`` of points ``a .. a+j-1``, sums each leaf.  ``np.sum`` splits
+    a leaf as it would inside the whole array, so the result has the bits
+    of one ``np.sum`` over all ``k`` points.
+    """
+    if k <= _ACF_LEAF:
+        return leaf_sum(start, k)
+    h = _split(k)
+    return _pairwise(leaf_sum, start, h) + _pairwise(leaf_sum, start + h, k - h)
+
+
+def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """``np.sum(prod + prod[::-1])`` for lags 0..max_lag, bit for bit, where
+    ``prod = x[:n-m] * x[m:]``, ``x = values - xbar`` and ``xbar`` is
+    ``np.sum(values + values[::-1]) / (2 n)``.
+
+    Leaf ``[a, a+k)`` of lag m is ``x[a+i] x[a+i+m] + r[a+i] r[a+i+m]``,
+    ``r = x[::-1]``: the mirrored half of the palindrome read forward on
+    the reversed input.  The lags' summation trees split at nearby points,
+    so their leaves are taken in order of start, and leaves that start
+    within ``_ACF_LEAF // 8`` points of each other share one centered
+    window of ``x`` and one of ``r``.
+    """
+    import heapq                      # at the call site: keeps CLI import lean
+    n = values.size
+    leaf = min(_ACF_LEAF, n)
+    slack = _ACF_LEAF // 8
+    fwd, rev = np.empty(leaf + slack + max_lag), np.empty(leaf + slack + max_lag)
+    p, q = np.empty(leaf), np.empty(leaf)
+    xbar = _pairwise(
+        lambda a, k: np.sum(np.add(values[a:a + k], values[n - a - k:n - a][::-1],
+                                   out=p[:k])), 0, n) / (2.0 * n)
+    sums = [[] for _ in range(max_lag + 1)]    # per lag, in leaf order
+
+    def sum_group(group):
+        a0 = group[0][0][0]
+        width = max(a + k + m for (a, k), m in group) - a0
+        x = np.subtract(values[a0:a0 + width], xbar, out=fwd[:width])
+        r = np.subtract(values[n - a0 - width:n - a0][::-1], xbar,
+                        out=rev[:width])
+        for (a, k), m in group:
+            s = a - a0
+            np.multiply(x[s:s + k], x[s + m:s + m + k], out=p[:k])
+            np.multiply(r[s:s + k], r[s + m:s + m + k], out=q[:k])
+            sums[m].append(np.sum(np.add(p[:k], q[:k], out=p[:k])))
+
+    group = []
+    for job in heapq.merge(*(zip(_leaves(0, n - m), repeat(m))
+                             for m in range(max_lag + 1))):
+        if group and job[0][0] - group[0][0][0] > slack:
+            sum_group(group)
+            group = []
+        group.append(job)
+    sum_group(group)
+    # _pairwise visits a lag's leaves in the order they were summed
+    return np.array([_pairwise(lambda a, k, it=iter(leaf_sums): next(it), 0, n - m)
+                     for m, leaf_sums in enumerate(sums)])
+
+
 def empirical_acf(series: TimeSeries, max_lag: int,
                   mode: str = "covariance") -> AcfEstimate:
     """Empirical autocovariance at integer lags 0 to ``max_lag``.
@@ -157,6 +243,11 @@ def empirical_acf(series: TimeSeries, max_lag: int,
     array ``a + a[::-1]`` and halved.  A palindrome is bitwise unchanged by
     reversal, so the estimate is invariant under time reversal of the input
     not just mathematically but bit for bit.
+
+    Each sum is numpy's pairwise sum of its palindrome (:func:`_pairwise`),
+    formed a leaf of at most ``_ACF_LEAF`` points at a time from centered
+    windows of the input (:func:`_lag_sums`).  No full-length array is
+    built, and the bits are those of ``np.sum`` over the whole palindrome.
     """
     if mode not in ("covariance", "correlation"):
         raise ValueError(f"mode must be covariance or correlation, got {mode!r}")
@@ -173,12 +264,7 @@ def empirical_acf(series: TimeSeries, max_lag: int,
         # mean subtraction must not leave ~1e-30 dust behind
         cov = np.zeros(max_lag + 1)
     else:
-        xbar = np.sum(values + values[::-1]) / (2.0 * n)
-        x = values - xbar
-        cov = np.empty(max_lag + 1)
-        for m in range(max_lag + 1):
-            prod = x[: n - m] * x[m:]
-            cov[m] = np.sum(prod + prod[::-1]) / (2.0 * n)
+        cov = _lag_sums(values, max_lag) / (2.0 * n)
     if mode == "correlation":
         if cov[0] == 0.0:
             raise ValueError("zero variance: correlation undefined")

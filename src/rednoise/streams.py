@@ -10,11 +10,17 @@ which uses numpy's ``SeedSequence`` spawning and is itself deterministic.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
+
 import numpy as np
 
 __all__ = ["GaussianStream"]
 
 _MAX_SEED = 2**64
+
+# Threads that run substream tasks in _map_substreams.
+_THREADS = 2
 
 
 class GaussianStream:
@@ -70,3 +76,27 @@ class GaussianStream:
 
     def __repr__(self):
         return f"GaussianStream(seed={self.seed}, count_drawn={self.count_drawn})"
+
+
+def _map_substreams(task, jobs, in_flight: int = 2):
+    """Yield ``task(job)`` for each job, in job order, from ``_THREADS`` threads.
+
+    Each job carries its own spawned substream, which no other job touches,
+    so a task draws the same numbers on any thread and in any interleaving:
+    the results do not depend on the thread count.  Besides the result being
+    yielded, at most ``in_flight`` tasks are queued, running or finished and
+    waiting, which bounds the memory they hold.  A task's exception is raised
+    here, at its turn in the order, after tasks not yet started are
+    cancelled and the running ones have finished.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    jobs = iter(jobs)
+    pool = ThreadPoolExecutor(_THREADS)
+    try:
+        pending = deque(pool.submit(task, job) for job in islice(jobs, in_flight))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(task, job) for job in islice(jobs, 1))
+            yield result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

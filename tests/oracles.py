@@ -305,3 +305,82 @@ def restoring_step_vanloan(lam: float, theta: float, sigma: float, h: float):
     phi = e[2:, 2:].T
     q = e[2:, 2:].T @ e[:2, 2:]
     return phi[0, 0], phi[1, 1], phi[1, 0], q[0, 0], q[0, 1], q[1, 1]
+
+
+# ---------------------------------------------------------------------------
+# empirical autocovariance over whole arrays
+# ---------------------------------------------------------------------------
+
+def empirical_acf_reference(values, max_lag: int,
+                            mode: str = "covariance") -> np.ndarray:
+    """``rednoise.empirical_acf`` values, each sum one ``np.sum`` of a
+    full-length palindrome.
+
+    The mean and every lag sum are ``np.sum(a + a[::-1]) / (2 n)`` over
+    whole arrays: the centered copy, each lag product and its palindrome
+    are built at full length.  The package forms the same palindromes a leaf
+    at a time, so it must return the same bytes.
+    """
+    n = values.size
+    if np.ptp(values) == 0.0:
+        cov = np.zeros(max_lag + 1)
+    else:
+        xbar = np.sum(values + values[::-1]) / (2.0 * n)
+        x = values - xbar
+        cov = np.empty(max_lag + 1)
+        for m in range(max_lag + 1):
+            prod = x[: n - m] * x[m:]
+            cov[m] = np.sum(prod + prod[::-1]) / (2.0 * n)
+    if mode == "correlation":
+        cov = cov / cov[0]
+        cov[0] = 1.0
+    return cov
+
+
+# ---------------------------------------------------------------------------
+# serial substream pipelines
+# ---------------------------------------------------------------------------
+
+def restoring_run_serial(psi: float, phi: float, sigma: float, n: int,
+                         max_lag: int, seed: int):
+    """``rednoise.restoring_run`` with its two systems run one after the
+    other on the calling thread.
+
+    Returns ``(result, streams)``: the ``RestoringResult`` and the two
+    substreams, whose ``count_drawn`` tells the draws each system took.
+    """
+    from rednoise import (DiscreteSystemParams, GaussianStream, RestoringResult,
+                          continuous_from_discrete, simulate_discrete,
+                          simulate_exact)
+    from rednoise.figures import _acf_vs_theory
+    params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
+    params_c = continuous_from_discrete(params_d)
+    child_d, child_c = GaussianStream(seed).spawn(2)
+    path_d = simulate_discrete(params_d, n, child_d)
+    path_c = simulate_exact(params_c, path_d.dt, n, child_c)
+    burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / path_d.dt))
+    discrete = _acf_vs_theory("discrete", path_d, burn, max_lag, params_c)
+    continuous = _acf_vs_theory("continuous", path_c, burn, max_lag, params_c)
+    result = RestoringResult(discrete=discrete, continuous=continuous,
+                             params_continuous=params_c, burn_in=burn)
+    return result, (child_d, child_c)
+
+
+def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,
+                          replicas: int, stream):
+    """The replica-mean periodogram of ``rednoise.plateau_experiment``, its
+    replicas run one after the other on the calling thread.
+
+    Returns ``(mean_powers, streams)``, the substreams in replica order.
+    """
+    from rednoise import TimeSeries, ou_exact_sample, periodogram
+    n = int(round(t / dt))
+    children = stream.spawn(replicas)
+    mean_powers = None
+    for child in children:
+        u = ou_exact_sample(alpha_model.theta, dt, n, child, init=alpha_model.init)
+        dy = u.values * dt + beta * np.sqrt(dt) * child.fill(n)
+        pg = periodogram(TimeSeries(dt=dt, values=dy))
+        mean_powers = pg.powers if mean_powers is None \
+            else mean_powers + pg.powers
+    return mean_powers / replicas, children

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,27 @@ def test_dt_handling(tmp_path):
 def test_truncated_f64le_rejected_naming_path_and_size(tmp_path):
     path = tmp_path / "odd.f64le"
     path.write_bytes(np.arange(3.0).tobytes()[:-3])
-    with pytest.raises(ValueError, match=r"odd\.f64le: size 21 bytes is not a multiple of 8"):
+    with pytest.raises(ValueError, match=r"odd\.f64le: size 21 bytes is not a multiple of 8") as exc:
         load_values(path, dt=1.0)
+    assert str(exc.value) == f"{path}: size 21 bytes is not a multiple of 8"
+
+
+def test_f64le_read_is_one_array_of_the_file_bytes(tmp_path):
+    # the file is read straight into the returned array: its bytes are the
+    # file's (signed zero and subnormals included) and no second copy exists
+    path = tmp_path / "big.f64le"
+    values = GaussianStream(3).fill(2**20)
+    values[:3] = (-0.0, 5e-324, np.finfo(np.float64).max)
+    path.write_bytes(values.astype("<f8").tobytes())
+    tracemalloc.start()
+    try:
+        loaded, dt = load_values(path, dt=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.dtype == np.float64 and loaded.flags.writeable and dt == 0.5
+    assert loaded.tobytes() == path.read_bytes()
+    assert peak < 1.1 * path.stat().st_size
 
 
 def test_nonuniform_time_column_rejected(tmp_path):

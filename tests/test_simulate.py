@@ -184,13 +184,13 @@ def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
                     assert got.count_drawn == want.count_drawn == 2 * (n_out - 1)
 
 
-def test_simulators_hold_a_few_blocks(monkeypatch):
+def test_simulators_hold_a_few_blocks():
     # beyond the output, each simulator holds a few blocks of _CHUNK doubles
     # at once (the draws or U, and the recursion's output, solved in place),
     # not whole paths; the exact sampler draws a pair per step, so its draws
-    # fill two blocks
-    monkeypatch.setattr(sim, "_CHUNK", 2**16)
+    # fill two blocks.  The shipped block size is the one under test.
     block = 8 * sim._CHUNK
+    assert 2**17 + 1 > 2 * sim._CHUNK            # every run spans several blocks
     simulate_exact(CONT, 1.0, 11, GaussianStream(0))      # import scipy first
     for run, n_out, blocks in (
             (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 2.5),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -191,6 +192,43 @@ def test_acf_reversal_is_bitwise_identical():
         a = empirical_acf(fwd, 50, mode=mode)
         b = empirical_acf(rev, 50, mode=mode)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("leaf", [2**12, 2**14, 2**16])
+def test_acf_matches_whole_array_oracle_bit_for_bit(monkeypatch, leaf):
+    # the leafwise sums follow numpy's own pairwise tree, so at any leaf
+    # size they give the bytes of np.sum over the full-length palindromes;
+    # a numpy that changes its summation tree fails here.  Lags below n/10,
+    # up to 24; then 2000 lags, whose trees split far apart
+    monkeypatch.setattr(spectral, "_ACF_LEAF", leaf)
+    stream = GaussianStream(12)
+    cases = [(n, min(-(-n // 10) - 1, 24))
+             for n in (11, 127, 128, 129, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5,
+                       1_000_003)] + [(20_011, 2_000)]
+    for n, max_lag in cases:
+        values = 2.5 + 0.3 * stream.fill(n)
+        for mode in ("covariance", "correlation"):
+            got = empirical_acf(_series(values), max_lag, mode=mode).values
+            want = oracles.empirical_acf_reference(values, max_lag, mode)
+            assert got.tobytes() == want.tobytes(), (leaf, n, mode)
+
+
+def test_acf_holds_no_full_length_array():
+    # beyond its input the estimator holds four buffers of about one leaf
+    # each (two products, and two centered windows an eighth of a leaf and
+    # max_lag points longer) and a little bookkeeping, not a single array of
+    # the input's length
+    n, max_lag = 2**20, 20
+    series = _series(GaussianStream(13).fill(n))
+    tracemalloc.start()
+    try:
+        empirical_acf(series, max_lag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf = 8 * spectral._ACF_LEAF
+    assert peak <= 4.5 * leaf, peak / leaf
+    assert peak < 8 * n / 2
 
 
 def test_acf_lag_budget():
