@@ -25,11 +25,9 @@ import numpy as np
 from .figures import restoring_run, spectra_run
 from .models import RedOuDt, increments, parse_model
 from .plateau import plateau_experiment
-from .series import FORMATS, TimeSeries, load_values, save_series, write_csv
-# periodogram and band_average are not called here; they stay importable
-# under these names because bench/traced_cli.py wraps them in this module.
-from .spectral import (AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
-                       empirical_acf, loglog_slope, periodogram)
+from .series import (FORMATS, TimeSeries, _read_csv, load_values, save_series,
+                     write_csv)
+from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
 from .streams import GaussianStream
 
 __all__ = ["main", "cmd_generate", "cmd_psd", "cmd_acf", "cmd_slope",
@@ -184,9 +182,7 @@ def cmd_acf(args: argparse.Namespace) -> int:
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
-    data = np.loadtxt(args.input_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{args.input_path}: expected CSV columns omega,power")
+    data = _read_csv(args.input_path, "omega,power")
     spec = AvgSpectrum(omegas=data[:, 0], powers=data[:, 1], band_width=1)
     slope, intercept = loglog_slope(spec, args.omega_min, args.omega_max)
     if args.out:

@@ -21,10 +21,7 @@ from .series import TimeSeries
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
-# periodogram and band_average are not called here; they stay importable
-# under these names because bench/traced_cli.py wraps them in this module.
-from .spectral import (AcfEstimate, AvgSpectrum, _band_spectrum, band_average,  # noqa: F401
-                       empirical_acf, loglog_slope, periodogram)
+from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",

@@ -31,7 +31,8 @@ from typing import Union
 
 import numpy as np
 
-from .series import TimeSeries, _check_dt, _check_n
+from .series import (_TINY, TimeSeries, _check_finite, _check_fraction, _check_n,
+                     _check_positive, _check_rate)
 from .streams import GaussianStream
 
 __all__ = [
@@ -44,9 +45,7 @@ __all__ = [
 
 _INITS = ("stationary", "zero")
 
-# The smallest normal double; exp(-x) is subnormal (or zero) for x beyond
-# _LOG_TINY, about 708.4.
-_TINY = np.finfo(np.float64).tiny
+# exp(-x) is subnormal (or zero) for x beyond _LOG_TINY, about 708.4.
 _LOG_TINY = -np.log(_TINY)
 
 # Points per block when fgn_sample fills its workspace.
@@ -54,25 +53,6 @@ _FGN_BLOCK = 2**16
 # Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
 # doubles (64 KB).
 _AR1_BLOCK = 2**12
-
-
-def _check_phi(phi):
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie strictly in (0, 1), got {phi}")
-
-
-def _check_theta(theta):
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be positive, got {theta}")
-    if theta < _TINY:
-        # 1/(2 theta) overflows and exp(-theta dt) rounds to 1
-        raise ValueError(
-            f"theta must be at least the smallest normal double {_TINY}, got {theta}")
-
-
-def _check_hurst(hurst):
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie strictly in (0, 1), got {hurst}")
 
 
 def _check_init(init):
@@ -97,7 +77,7 @@ class RedOuDt:
     init: str = "stationary"
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        _check_rate(self.theta, "theta")
         _check_init(self.init)
 
 
@@ -109,7 +89,7 @@ class DiffU:
     init: str = "stationary"
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        _check_rate(self.theta, "theta")
         _check_init(self.init)
 
 
@@ -121,9 +101,8 @@ class Mixed:
     gamma: float
 
     def __post_init__(self):
-        _check_theta(self.theta)
-        if not np.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        _check_rate(self.theta, "theta")
+        _check_finite(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -134,7 +113,7 @@ class Ar1Driven:
     init: str = "stationary"
 
     def __post_init__(self):
-        _check_phi(self.phi)
+        _check_fraction(self.phi, "phi")
         _check_init(self.init)
 
 
@@ -145,7 +124,7 @@ class Fgn:
     hurst: float
 
     def __post_init__(self):
-        _check_hurst(self.hurst)
+        _check_fraction(self.hurst, "hurst")
 
 
 NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
@@ -194,7 +173,7 @@ def ar1_sample(phi: float, n: int, stream: GaussianStream,
     stream draw, taken first); ``init="zero"`` starts at 0.  ``n`` values are
     returned and ``n-1`` innovations are consumed.
     """
-    _check_phi(phi)
+    _check_fraction(phi, "phi")
     _check_init(init)
     n = _check_n(n)
     x0 = stream.normal() / np.sqrt(1.0 - phi * phi) if init == "stationary" else 0.0
@@ -211,9 +190,9 @@ def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
     for any step size.  ``init="stationary"`` draws ``q_0 ~ N(0, 1/(2 theta))``
     (one extra draw, taken first); ``init="zero"`` starts at 0.
     """
-    _check_theta(theta)
+    _check_rate(theta, "theta")
     _check_init(init)
-    dt = _check_dt(dt)
+    dt = _check_positive(dt, "dt")
     n = _check_n(n)
     coeff = np.exp(-theta * dt)
     scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
@@ -235,8 +214,8 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     turn the eigenvalues and the half spectrum, the 2n-point ``irfft`` and
     numpy's FFT scratch.  The bytes equal those of building each whole.
     """
-    _check_hurst(hurst)
-    dt = _check_dt(dt)
+    _check_fraction(hurst, "hurst")
+    dt = _check_positive(dt, "dt")
     n = _check_n(n)
     m2 = 2 * n
     row = np.empty(m2)            # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
@@ -274,7 +253,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
 
 def ar1_autocov(phi: float, tau) -> np.ndarray | float:
     """Autocovariance ``phi^|tau| / (1 - phi^2)`` of the stationary AR(1)."""
-    _check_phi(phi)
+    _check_fraction(phi, "phi")
     tau = np.abs(np.asarray(tau, dtype=np.float64))
     out = phi**tau / (1.0 - phi * phi)
     return out if out.ndim else float(out)
@@ -282,7 +261,7 @@ def ar1_autocov(phi: float, tau) -> np.ndarray | float:
 
 def ou_autocov(theta: float, tau) -> np.ndarray | float:
     """Autocovariance ``exp(-theta |tau|) / (2 theta)`` of the stationary OU."""
-    _check_theta(theta)
+    _check_rate(theta, "theta")
     tau = np.abs(np.asarray(tau, dtype=np.float64))
     out = np.exp(-theta * tau) / (2.0 * theta)
     return out if out.ndim else float(out)
@@ -302,8 +281,8 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
     smallest subnormal (about ``exp(-744.4)``); below that it rounds to
     ``-0.0``.
     """
-    _check_theta(theta)
-    dt = _check_dt(dt)
+    _check_rate(theta, "theta")
+    dt = _check_positive(dt, "dt")
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(tau < dt):
         raise ValueError(f"tau must be >= dt={dt} (non-overlapping increments)")
@@ -319,7 +298,7 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
 
 def fbm_autocov(hurst: float, t, tau) -> np.ndarray | float:
     """Covariance ``Cov(B^H_t, B^H_{t+tau}) = (t^2H + (t+tau)^2H - tau^2H)/2``."""
-    _check_hurst(hurst)
+    _check_fraction(hurst, "hurst")
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     if np.any(t < 0) or np.any(tau < 0):
@@ -339,8 +318,8 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
     ``m^2H``: its relative error stays a few eps, where the direct form's
     cancellation loses digits as eps*m^2.
     """
-    _check_hurst(hurst)
-    dt = _check_dt(dt)
+    _check_fraction(hurst, "hurst")
+    dt = _check_positive(dt, "dt")
     m = np.abs(np.asarray(m, dtype=np.float64))
     two_h = 2.0 * hurst
     out = np.empty_like(m)
@@ -376,7 +355,7 @@ def increments(model: NoiseModel, dt: float, n: int,
       continuum scaling of AR(1) noise is not well defined.
     - ``Fgn``: 2n draws (circulant embedding).
     """
-    dt = _check_dt(dt)
+    dt = _check_positive(dt, "dt")
     n = _check_n(n)
 
     if isinstance(model, White):

@@ -24,19 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
-from .series import TimeSeries, _check_dt
+from .series import TimeSeries, _check_finite, _check_positive, _check_rate
 from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["PlateauReport", "psd_kernel_auto", "psd_kernel_cross",
            "finite_psd_theoretical", "plateau_experiment"]
-
-
-def _check_t_theta(t, theta):
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"T must be positive, got {t}")
-    if not (np.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be positive, got {theta}")
 
 
 def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
@@ -51,8 +44,8 @@ def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
     (2 theta)`` — the two kernels are evaluated independently and the
     identity is a test oracle, not an implementation shortcut.
     """
-    t = float(t)
-    _check_t_theta(t, theta)
+    t = _check_positive(t, "T")
+    _check_rate(theta, "theta")
     omega = np.asarray(omega, dtype=np.float64)
     d = theta * theta + omega * omega
     decay = np.exp(-theta * t)
@@ -71,8 +64,8 @@ def psd_kernel_cross(t: float, omega, theta: float) -> np.ndarray | complex:
     arithmetic — the poles sit at ``theta = i omega`` and real-only
     rearrangements reintroduce the cancellation this form avoids.
     """
-    t = float(t)
-    _check_t_theta(t, theta)
+    t = _check_positive(t, "T")
+    _check_rate(theta, "theta")
     omega = np.asarray(omega, dtype=np.float64)
     pole = theta - 1j * omega
     out = (t * pole + np.exp(-t * pole) - 1.0) / (pole * pole)
@@ -151,13 +144,9 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     """
     if not isinstance(alpha_model, RedOuDt):
         raise ValueError(f"alpha_model must be RedOuDt, got {type(alpha_model).__name__}")
-    beta = float(beta)
-    if not np.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    t = float(t)
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"T must be positive, got {t}")
-    dt = _check_dt(dt)
+    beta = _check_finite(beta, "beta")
+    t = _check_positive(t, "T")
+    dt = _check_positive(dt, "dt")
     replicas = int(replicas)
     if replicas < 32:
         raise ValueError(f"need at least 32 replicas, got {replicas}")

@@ -35,11 +35,38 @@ def _check_values(values) -> np.ndarray:
     return values
 
 
-def _check_dt(dt) -> float:
-    dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    return dt
+# The smallest normal double.  A rate below it is rejected: 1/(2 rate)
+# overflows and exp(-rate h) rounds to 1.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _check_finite(x, name: str) -> float:
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _check_positive(x, name: str) -> float:
+    x = float(x)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _check_rate(x, name: str) -> float:
+    x = _check_positive(x, name)
+    if x < _TINY:
+        raise ValueError(
+            f"{name} must be at least the smallest normal double {_TINY}, got {x}")
+    return x
+
+
+def _check_fraction(x, name: str) -> float:
+    x = float(x)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {x}")
+    return x
 
 
 def _check_n(n, name: str = "n") -> int:
@@ -64,7 +91,7 @@ class TimeSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.dt = _check_dt(self.dt)
+        self.dt = _check_positive(self.dt, "dt")
         self.values = _check_values(self.values)
 
     def __len__(self):
@@ -125,6 +152,23 @@ def save_series(path, series, fmt: str | None = None) -> None:
         Path(path).write_bytes(np.ascontiguousarray(series.values, dtype="<f8").tobytes())
 
 
+def _read_csv(path, names: str) -> np.ndarray:
+    """The rows below the header line of a CSV file, as a float64 array of at
+    least the two columns ``names``.
+
+    A file with no data row is rejected by name before numpy reads it, so
+    numpy's empty-input warning is never printed.
+    """
+    with open(path, "rb") as fh:
+        fh.readline()                                   # the header
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):
+            raise ValueError(f"{path}: no data rows below the header line")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: expected at least two CSV columns ({names})")
+    return data
+
+
 def load_values(path, fmt: str | None = None, dt: float | None = None):
     """Read values (and step) back from a file written by :func:`save_series`.
 
@@ -144,15 +188,15 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
             raise ValueError("dt is required when reading f64le data")
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
+            if size == 0:
+                raise ValueError(f"{path}: no data (size 0 bytes)")
             if size % 8:
                 raise ValueError(f"{path}: size {size} bytes is not a multiple of 8")
             # read straight into the one array returned (a no-op cast on a
             # little-endian machine)
             values = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
-        return values, _check_dt(dt)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: expected at least two CSV columns (t,value)")
+        return values, _check_positive(dt, "dt")
+    data = _read_csv(path, "t,value")
     t, values = data[:, 0], data[:, 1]
     if dt is None:
         if t.size < 2:
@@ -161,4 +205,4 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
         dt = float(steps[0])
         if not np.allclose(steps, dt, rtol=1e-8, atol=1e-12 * max(dt, 1.0)):
             raise ValueError(f"{path}: time column is not uniformly spaced")
-    return values.astype(np.float64), _check_dt(dt)
+    return values.astype(np.float64), _check_positive(dt, "dt")

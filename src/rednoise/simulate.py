@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import _ar1_recursion
-from .series import TimeSeries, _check_dt, _check_n
+from .series import (TimeSeries, _check_finite, _check_fraction, _check_n,
+                     _check_positive, _check_rate)
 from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
@@ -50,14 +51,10 @@ class DiscreteSystemParams:
     x0: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.psi < 1.0:
-            raise ValueError(f"psi must lie in (0, 1), got {self.psi}")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError(f"phi must lie in (0, 1), got {self.phi}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not np.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+        _check_fraction(self.psi, "psi")
+        _check_fraction(self.phi, "phi")
+        _check_positive(self.sigma, "sigma")
+        _check_finite(self.x0, "x0")
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,10 @@ class ContinuousSystemParams:
     x0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not np.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+        _check_rate(self.lam, "lam")
+        _check_rate(self.theta, "theta")
+        _check_positive(self.sigma, "sigma")
+        _check_finite(self.x0, "x0")
 
 
 def continuous_from_discrete(params: DiscreteSystemParams) -> ContinuousSystemParams:
@@ -150,17 +143,12 @@ def euler_integrate(lam: float, sigma: float, x0: float,
     turns this into a plain cumulative sum (scaled random walk for white
     forcing).  ``lam*dt`` must stay below 2, where the Euler step diverges.
     """
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
+    _check_finite(lam, "lam")
     if lam * forcing.dt >= 2.0:
         raise ValueError(
             f"Euler diverges for lam*dt >= 2, got lam*dt={lam * forcing.dt}")
-    if not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
-    if not np.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    if len(forcing.values) < 1:
-        raise ValueError("forcing must be non-empty")
+    _check_finite(sigma, "sigma")
+    _check_finite(x0, "x0")
     values = _ar1_recursion(1.0 - lam * forcing.dt, sigma, x0, forcing.values)
     return TimeSeries(dt=forcing.dt, values=values)
 
@@ -236,7 +224,7 @@ def simulate_exact(params: ContinuousSystemParams, dt: float, n_out: int,
     of ``_CHUNK`` steps keep the working memory beyond the output to a few
     blocks, and the bytes do not depend on the block size.
     """
-    dt = _check_dt(dt)
+    dt = _check_positive(dt, "dt")
     n_out = _check_n(n_out, "n_out")
     a, b, c, q11, q12, q22 = _exact_step(params, dt)
     l11 = np.sqrt(q11)

@@ -83,15 +83,17 @@ def periodogram(series: TimeSeries) -> AvgSpectrum:
     accepted, not just powers of two), as a spectrum of band width 1.
     Requires at least 2 samples.
     """
-    values = series.values
-    n = values.size
-    if n < 2:
-        raise ValueError("periodogram needs at least 2 samples")
-    dt = series.dt
-    spec = np.fft.rfft(values)[1:n // 2 + 1]
-    powers = (spec.real**2 + spec.imag**2) / (n * dt)
-    omegas = 2.0 * np.pi * np.arange(1, n // 2 + 1) / (n * dt)
-    return AvgSpectrum(omegas=omegas, powers=powers, band_width=1)
+    return _band_spectrum(series, 1)
+
+
+def _check_band_width(band_width, bins: int) -> int:
+    band_width = int(band_width)
+    if band_width < 1:
+        raise ValueError(f"band_width must be at least 1, got {band_width}")
+    if band_width > bins:
+        raise ValueError(
+            f"band_width={band_width} exceeds the {bins} available bins")
+    return band_width
 
 
 def band_average(pg: AvgSpectrum, band_width: int) -> AvgSpectrum:
@@ -101,12 +103,7 @@ def band_average(pg: AvgSpectrum, band_width: int) -> AvgSpectrum:
     band is dropped, so the output has ``len(pg) // band_width`` bands.
     ``band_width=1`` is the identity on the data.
     """
-    band_width = int(band_width)
-    if band_width < 1:
-        raise ValueError(f"band_width must be at least 1, got {band_width}")
-    if band_width > len(pg):
-        raise ValueError(
-            f"band_width={band_width} exceeds the {len(pg)} available bins")
+    band_width = _check_band_width(band_width, len(pg))
     n_bands = len(pg) // band_width
     m = n_bands * band_width
     omegas = pg.omegas[:m].reshape(n_bands, band_width).mean(axis=1)
@@ -115,23 +112,19 @@ def band_average(pg: AvgSpectrum, band_width: int) -> AvgSpectrum:
 
 
 def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
-    """``band_average(periodogram(series), band_width)``, bit for bit.
+    """Periodogram averaged over disjoint bands of ``band_width`` bins.
 
-    Takes one real FFT, then forms powers, frequencies and band means a
-    chunk of whole bands at a time, so the full-length periodogram arrays
-    never exist.  Each band is the same row mean over the same values as in
-    :func:`band_average`, hence the identical bits.
+    ``band_average(periodogram(series), band_width)`` without the
+    full-length periodogram: takes one real FFT, then forms powers,
+    frequencies and band means a chunk of whole bands at a time.  Each band
+    is the same row mean over the same values as in :func:`band_average`,
+    hence the same bits.
     """
     values = series.values
     n = values.size
     if n < 2:
         raise ValueError("periodogram needs at least 2 samples")
-    band_width = int(band_width)
-    if band_width < 1:
-        raise ValueError(f"band_width must be at least 1, got {band_width}")
-    if band_width > n // 2:
-        raise ValueError(
-            f"band_width={band_width} exceeds the {n // 2} available bins")
+    band_width = _check_band_width(band_width, n // 2)
     dt = series.dt
     spec = np.fft.rfft(values)
     n_bands = n // 2 // band_width
@@ -157,7 +150,7 @@ def _split(k: int) -> int:
 
 
 def _leaves(start: int, k: int):
-    """``(start, length)`` of each leaf of :func:`_pairwise`, in order."""
+    """``(start, length)`` of each leaf of :func:`_tree_sum`, in order."""
     if k <= _ACF_LEAF:
         yield start, k
     else:
@@ -166,19 +159,20 @@ def _leaves(start: int, k: int):
         yield from _leaves(start + h, k - h)
 
 
-def _pairwise(leaf_sum, start: int, k: int) -> float:
-    """numpy's pairwise sum of ``k`` points from ``start``, split into leaves.
+def _tree_sum(k: int, leaf_sums) -> float:
+    """numpy's pairwise sum of ``k`` points, from the sums of its leaves.
 
     Splits as ``np.sum`` of a contiguous float64 array does until a piece
-    fits in ``_ACF_LEAF`` points; ``leaf_sum(a, j)``, which must be
-    ``np.sum`` of points ``a .. a+j-1``, sums each leaf.  ``np.sum`` splits
-    a leaf as it would inside the whole array, so the result has the bits
-    of one ``np.sum`` over all ``k`` points.
+    fits in ``_ACF_LEAF`` points, and takes each leaf's sum, in the order of
+    :func:`_leaves`, from the iterator ``leaf_sums``.  Given each leaf's
+    ``np.sum``, the result has the bits of one ``np.sum`` over all ``k``
+    points, since ``np.sum`` splits a leaf as it would inside the whole
+    array.
     """
     if k <= _ACF_LEAF:
-        return leaf_sum(start, k)
+        return next(leaf_sums)
     h = _split(k)
-    return _pairwise(leaf_sum, start, h) + _pairwise(leaf_sum, start + h, k - h)
+    return _tree_sum(h, leaf_sums) + _tree_sum(k - h, leaf_sums)
 
 
 def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -199,9 +193,9 @@ def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:
     slack = _ACF_LEAF // 8
     fwd, rev = np.empty(leaf + slack + max_lag), np.empty(leaf + slack + max_lag)
     p, q = np.empty(leaf), np.empty(leaf)
-    xbar = _pairwise(
-        lambda a, k: np.sum(np.add(values[a:a + k], values[n - a - k:n - a][::-1],
-                                   out=p[:k])), 0, n) / (2.0 * n)
+    xbar = _tree_sum(n, (np.sum(np.add(values[a:a + k],
+                                       values[n - a - k:n - a][::-1], out=p[:k]))
+                         for a, k in _leaves(0, n))) / (2.0 * n)
     sums = [[] for _ in range(max_lag + 1)]    # per lag, in leaf order
 
     def sum_group(group):
@@ -224,8 +218,7 @@ def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:
             group = []
         group.append(job)
     sum_group(group)
-    # _pairwise visits a lag's leaves in the order they were summed
-    return np.array([_pairwise(lambda a, k, it=iter(leaf_sums): next(it), 0, n - m)
+    return np.array([_tree_sum(n - m, iter(leaf_sums))
                      for m, leaf_sums in enumerate(sums)])
 
 
@@ -244,7 +237,7 @@ def empirical_acf(series: TimeSeries, max_lag: int,
     reversal, so the estimate is invariant under time reversal of the input
     not just mathematically but bit for bit.
 
-    Each sum is numpy's pairwise sum of its palindrome (:func:`_pairwise`),
+    Each sum is numpy's pairwise sum of its palindrome (:func:`_tree_sum`),
     formed a leaf of at most ``_ACF_LEAF`` points at a time from centered
     windows of the input (:func:`_lag_sums`).  No full-length array is
     built, and the bits are those of ``np.sum`` over the whole palindrome.

@@ -308,6 +308,28 @@ def restoring_step_vanloan(lam: float, theta: float, sigma: float, h: float):
 
 
 # ---------------------------------------------------------------------------
+# periodogram over whole arrays
+# ---------------------------------------------------------------------------
+
+def periodogram_reference(series):
+    """``rednoise.periodogram`` built at full length in one pass.
+
+    Powers ``|FFT_j|^2 / (n dt)`` and frequencies ``2 pi j / (n dt)`` for
+    ``j = 1 .. n//2``, each formed over the whole array at once.  The package
+    forms them a chunk of bins at a time, so ``periodogram`` and
+    ``band_average`` of this must give its bytes at every band width.
+    """
+    from rednoise import AvgSpectrum
+    values = series.values
+    n = values.size
+    dt = series.dt
+    spec = np.fft.rfft(values)[1:n // 2 + 1]
+    powers = (spec.real**2 + spec.imag**2) / (n * dt)
+    omegas = 2.0 * np.pi * np.arange(1, n // 2 + 1) / (n * dt)
+    return AvgSpectrum(omegas=omegas, powers=powers, band_width=1)
+
+
+# ---------------------------------------------------------------------------
 # empirical autocovariance over whole arrays
 # ---------------------------------------------------------------------------
 

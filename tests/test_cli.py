@@ -193,6 +193,31 @@ def test_truncated_f64le_input_exits_2(tmp_path, capsys):
     assert err == f"error: {path}: size 13 bytes is not a multiple of 8\n"
 
 
+@pytest.mark.parametrize("command, name, content", [
+    ("psd", "h.csv", b"t,value\n"),
+    ("acf", "h.csv", b"t,value\n"),
+    ("slope", "h.csv", b"omega,power\n"),
+    ("psd", "e.f64le", b""),
+    ("acf", "e.f64le", b""),
+])
+def test_file_without_data_exits_2_naming_it(tmp_path, command, name, content):
+    # in a subprocess, so that a warning numpy prints on stderr is seen
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = [command, "--in", str(path)]
+    argv += (["--omega-min", "1", "--omega-max", "2"] if command == "slope"
+             else ["--dt", "1", "--out", str(tmp_path / "o.csv")])
+    script = f"import sys; from rednoise.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(rednoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {path}: no data")
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--model", "model=white", "--n", "-5"),
     ("fig2", "--n", "-3"),

@@ -37,3 +37,22 @@ def test_documented_imports_resolve():
                 for alias in node.names]
     assert len(sources) > 5 and imported
     assert sorted(set(imported) - set(rednoise.__all__)) == []
+
+
+def test_src_imports_are_used():
+    # every name a library or CLI module binds by a module-level import is
+    # used in that module or re-exported through its __all__
+    unused = []
+    for path in sorted(Path(rednoise.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(importlib.import_module(f"rednoise.{path.stem}").__all__)
+        unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    assert unused == []

@@ -80,6 +80,16 @@ def test_kernel_domain_errors():
         psd_kernel_cross(-1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf"),
+                                   1e-320, 5e-324])
+@pytest.mark.parametrize("kernel", [psd_kernel_auto, psd_kernel_cross])
+def test_kernel_theta_must_be_normal(kernel, theta):
+    # a subnormal theta overflows 1 / theta to inf
+    cause = "smallest normal" if 0.0 < theta < 1e-300 else "positive and finite"
+    with pytest.raises(ValueError, match=f"^theta must be .*{cause}"):
+        kernel(10.0, 1.0, theta)
+
+
 # ---------------------------------------------------------------------------
 # finite-horizon spectra
 # ---------------------------------------------------------------------------

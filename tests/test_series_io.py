@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ def test_truncated_f64le_rejected_naming_path_and_size(tmp_path):
     with pytest.raises(ValueError, match=r"odd\.f64le: size 21 bytes is not a multiple of 8") as exc:
         load_values(path, dt=1.0)
     assert str(exc.value) == f"{path}: size 21 bytes is not a multiple of 8"
+
+
+@pytest.mark.parametrize("name, content, cause", [
+    ("h.csv", b"t,value\n", "no data rows below the header line"),
+    ("h.csv", b"t,value", "no data rows below the header line"),
+    ("h.csv", b"t,value\n\n# comment\n", "no data rows below the header line"),
+    ("e.f64le", b"", "no data (size 0 bytes)"),
+])
+def test_file_without_data_rejected_naming_path(tmp_path, name, content, cause):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # numpy's empty-input warning fails
+        with pytest.raises(ValueError) as exc:
+            load_values(path, dt=1.0)
+    assert str(exc.value) == f"{path}: {cause}"
 
 
 def test_f64le_read_is_one_array_of_the_file_bytes(tmp_path):

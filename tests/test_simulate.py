@@ -43,6 +43,19 @@ def test_invalid_params_rejected(build):
         build()
 
 
+BAD_RATES = [0.0, -1.0, float("nan"), float("inf"), 1e-320, 5e-324]
+
+
+@pytest.mark.parametrize("rate", BAD_RATES)
+@pytest.mark.parametrize("name", ["lam", "theta"])
+def test_continuous_rates_must_be_normal(name, rate):
+    # a subnormal rate would sample with a wrong innovation variance
+    cause = "smallest normal" if 0.0 < rate < 1e-300 else "positive and finite"
+    with pytest.raises(ValueError, match=f"^{name} must be .*{cause}"):
+        ContinuousSystemParams(**{"lam": 0.2, "theta": 0.1, "sigma": 1.0,
+                                  name: rate})
+
+
 def test_rate_map_from_discrete():
     assert CONT.lam == pytest.approx(0.223144, abs=1e-6)
     assert CONT.theta == pytest.approx(0.105361, abs=1e-6)
