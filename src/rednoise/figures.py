@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White, increments,
                      theoretical_psd)
-from .series import TimeSeries
+from .series import TimeSeries, _check_n
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
@@ -141,12 +141,18 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     Separate substreams drive the two simulations, so they are independent
     realizations.  The two systems run on two threads, each simulating its
     path, taking its ACF and freeing the path; every result has the bits of
-    running them one after the other.
+    running them one after the other.  ``n`` must exceed the burn-in plus
+    ``10 * max_lag``, the shortest tail :func:`empirical_acf` accepts.
     """
     params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
     params_c = continuous_from_discrete(params_d)
     dt = 1.0                            # the discrete chain's unit grid
     burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / dt))
+    n = _check_n(n)
+    if n - burn <= 10 * max_lag:
+        raise ValueError(
+            f"n={n} too short for a burn-in of {burn} and max_lag={max_lag}: "
+            f"need n > {burn} + 10*{max_lag} = {burn + 10 * max_lag}")
     simulators = {
         "discrete": lambda child: simulate_discrete(params_d, n, child),
         "continuous": lambda child: simulate_exact(params_c, dt, n, child)}

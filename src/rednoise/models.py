@@ -26,6 +26,11 @@ sampler is reproducible from its seed.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -53,6 +58,10 @@ _FGN_BLOCK = 2**16
 # Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
 # doubles (64 KB).
 _AR1_BLOCK = 2**12
+
+# scipy's compiled BLAS wrappers, loaded by _fblas under this name.
+_FBLAS = "scipy.linalg._fblas"
+_FBLAS_LOCK = threading.Lock()
 
 
 def _check_init(init):
@@ -134,6 +143,33 @@ NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
 # samplers
 # ---------------------------------------------------------------------------
 
+def _fblas():
+    """scipy's ``_fblas`` extension, loaded once without ``scipy.linalg``.
+
+    ``import scipy.linalg.blas`` runs the ``scipy.linalg`` package
+    ``__init__`` (array-API and f2py machinery, 0.3-0.4 s); the extension
+    alone loads in about 5 ms.  It is taken from the installed scipy's
+    ``linalg`` directory, found without importing scipy, and registered under
+    its real name, so a later ``import scipy.linalg`` reuses it and
+    ``scipy.linalg.blas.dtbsv`` is the same routine.  The lock makes the
+    first recursions of two threads load it once.
+    """
+    with _FBLAS_LOCK:
+        module = sys.modules.get(_FBLAS)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            dirs = [os.path.join(d, "linalg")
+                    for d in (scipy.submodule_search_locations if scipy else ())]
+            found = importlib.machinery.PathFinder.find_spec("_fblas", dirs)
+            if found is None:
+                raise RuntimeError(f"scipy's BLAS extension _fblas not found in {dirs}")
+            spec = importlib.util.spec_from_file_location(_FBLAS, found.origin)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FBLAS] = module
+        return module
+
+
 def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.ndarray:
     """x_{k+1} = coeff * x_k + scale * z_k, returning [x0, x1, ..., x_n].
 
@@ -145,13 +181,16 @@ def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.n
 
     Rounding contract: the bits of scipy's ``lfilter([scale], [1, -coeff],
     z, zi=[coeff x0])`` at every block size, without the second-long import
-    of its signal module.  The band is stored in upper form, rows
-    ``[-coeff, 1]``, and solved transposed with a unit diagonal, so each
-    step is ``r_k - (-coeff) y_{k-1}``: one rounded product, then one
-    rounded sum, as in ``lfilter``.  The lower, non-transposed form runs
-    through OpenBLAS's fused multiply-add kernel and rounds differently.
+    of its signal module.  ``dtbsv`` comes from :func:`_fblas`, the compiled
+    extension alone: the ``scipy.linalg`` package's import (0.3-0.4 s)
+    takes longer than the whole computation of ``fig2 --quick``.  The band
+    is stored in upper form, rows ``[-coeff, 1]``, and solved transposed
+    with a unit diagonal, so each step is ``r_k - (-coeff) y_{k-1}``: one
+    rounded product, then one rounded sum, as in ``lfilter``.  The lower,
+    non-transposed form runs through OpenBLAS's fused multiply-add kernel
+    and rounds differently.
     """
-    from scipy.linalg.blas import dtbsv     # only the filtering samplers load scipy
+    dtbsv = _fblas().dtbsv
     out = np.empty(z.size + 1)
     out[0] = x0
     np.multiply(z, scale, out=out[1:])

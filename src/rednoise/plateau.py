@@ -151,8 +151,10 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     if replicas < 32:
         raise ValueError(f"need at least 32 replicas, got {replicas}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
-    if omegas.size == 0 or np.any(omegas <= 0):
-        raise ValueError("omegas must be positive and non-empty")
+    if omegas.size == 0:
+        raise ValueError("omegas must be non-empty")
+    for w in omegas:
+        _check_positive(w, "every omega")
     lo, hi = float(plateau_band[0]), float(plateau_band[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"bad plateau band ({lo}, {hi})")

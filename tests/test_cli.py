@@ -1,7 +1,9 @@
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -311,10 +313,19 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
 
 
+def _run_script(script):
+    src = str(Path(rednoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_filtering_commands_never_import_scipy_signal(tmp_path):
-    # the AR(1) recursion solves a banded system through scipy.linalg.blas;
-    # a red sample and a small fig2 (whose 1% gate fails at this n, exit 1)
-    # must filter without loading scipy.signal
+    # the AR(1) recursion takes dtbsv from scipy's compiled _fblas alone; a
+    # red sample, a small fig2 (whose 1% gate fails at this n, exit 1) and a
+    # quick theorem must leave it the only scipy module loaded
     script = f"""
 import sys
 from rednoise.cli import main
@@ -322,16 +333,44 @@ d = {str(tmp_path)!r}
 assert main(["generate", "--model", "model=red theta=0.1", "--n", "1000",
              "--out", d + "/r.csv"]) == 0
 assert main(["fig2", "--n", "20000", "--out", d + "/fig2"]) in (0, 1)
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.signal"))
-assert not loaded, loaded
+assert main(["theorem", "--quick", "--out", d + "/t.csv"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == ["scipy.linalg._fblas"], loaded
 """
-    src = str(Path(rednoise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_script(script)
     assert (tmp_path / "fig2" / "continuous.csv").exists()
+    assert (tmp_path / "t.csv").exists()
+
+
+def test_scipy_linalg_reuses_the_loaded_blas_extension():
+    # after the shortcut, importing scipy.linalg finds the same module, so
+    # there is one dtbsv routine and the package still works
+    script = """
+import sys
+import numpy as np
+from rednoise import models
+fblas = models._fblas()
+import scipy.linalg
+import scipy.linalg.blas
+assert sys.modules["scipy.linalg._fblas"] is fblas
+assert scipy.linalg.blas.dtbsv is fblas.dtbsv
+assert np.array_equal(scipy.linalg.expm(np.zeros((2, 2))), np.eye(2))
+"""
+    _run_script(script)
+
+
+def test_missing_blas_extension_exits_2_naming_the_directory(tmp_path, capsys,
+                                                            monkeypatch):
+    # no fallback to the scipy.linalg package: a scipy without _fblas gives
+    # one error line naming where it was looked for
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    code, out, err = run(capsys, "generate", "--model", "model=red theta=0.1",
+                         "--n", "10", "--out", str(tmp_path / "r.csv"))
+    assert code == 2 and out == "" and not (tmp_path / "r.csv").exists()
+    assert err == (f"error: scipy's BLAS extension _fblas not found in "
+                   f"{[str(tmp_path / 'linalg')]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +430,27 @@ def test_fig1_quick(tmp_path, capsys):
         assert f.exists()
         assert f.read_text().splitlines()[0] == "omega,empirical,theoretical"
     assert "red_slope=" in stdout and "PASS fig1" in stdout
+
+
+@pytest.mark.parametrize("n, max_lag", [(50, 20), (100, 20), (295, 20),
+                                        (145, 5)])
+def test_fig2_too_short_for_burn_in_and_lags_exits_2(tmp_path, capsys, n,
+                                                    max_lag):
+    # the 95-step burn-in and the ACF's n/10 rule are checked against the n
+    # the user gave, before anything is simulated or written
+    out_path = tmp_path / "fig2"
+    code, out, err = run(capsys, "fig2", "--n", str(n), "--max-lag",
+                         str(max_lag), "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == (f"error: n={n} too short for a burn-in of 95 and "
+                   f"max_lag={max_lag}: need n > 95 + 10*{max_lag} = "
+                   f"{95 + 10 * max_lag}\n")
+
+
+def test_fig2_shortest_accepted_n_runs(tmp_path, capsys):
+    code, out, err = run(capsys, "fig2", "--n", "296", "--out", str(tmp_path))
+    assert code in (0, 1) and err == ""
+    assert "n=296 burn_in=95" in out
 
 
 def test_fig2_quick(tmp_path, capsys):

@@ -162,6 +162,8 @@ def test_plateau_report_bookkeeping():
     dict(omegas=[400.0]),                # beyond Nyquist at dt=0.01
     dict(omegas=[]),
     dict(omegas=[-1.0]),
+    dict(omegas=[float("nan"), 10.0]),
+    dict(omegas=[10.0, float("inf")]),
     dict(t=0.1),                         # fewer than 16 steps
     dict(beta=float("inf")),
     dict(plateau_band=(5.0, 5.0)),
@@ -172,6 +174,17 @@ def test_plateau_preconditions(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         plateau_experiment(**base)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), 0.0, -1.0])
+def test_plateau_rejects_bad_omega_naming_it(omega):
+    # NaN compares false with 0, so it is checked as not positive and finite
+    stream = GaussianStream(47)
+    with pytest.raises(ValueError,
+                       match=f"every omega must be positive and finite, got {omega}"):
+        plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01, [omega, 10.0], 32,
+                           stream)
+    assert stream.count_drawn == 0
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])

@@ -1,12 +1,16 @@
 """Substream tasks on threads: ordered results and the bits of a serial run."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import rednoise
 import rednoise.plateau as plateau
 import rednoise.streams as streams
 from rednoise import GaussianStream, RedOuDt, plateau_experiment, restoring_run
@@ -133,6 +137,64 @@ def test_plateau_experiment_has_the_bits_of_the_serial_loop(monkeypatch, threads
     assert [s.count_drawn for s in children] == want_counts
     assert seen[0].tobytes() == want.tobytes()
     assert np.isfinite(report.plateau_estimate)
+
+
+# ---------------------------------------------------------------------------
+# the first AR(1) recursion on two threads at once
+# ---------------------------------------------------------------------------
+
+_FIRST_USE = """
+import importlib.machinery
+import sys
+import threading
+
+import numpy as np
+
+from rednoise import GaussianStream, models
+
+jobs = [(0.9, 1.0, 0.5, GaussianStream(1).fill(5000)),
+        (np.exp(-0.01), 0.37, -1.0, GaussianStream(2).fill(5000))]
+sys.setswitchinterval(1e-6)
+loads = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def counted(self, spec):
+    loads.append(spec.name)
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = counted
+paths = [None, None]
+start = threading.Barrier(2, timeout=60)
+
+def first_use(i):
+    start.wait()
+    paths[i] = models._ar1_recursion(*jobs[i])
+
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+assert loads == ["scipy.linalg._fblas"], loads
+assert "scipy.linalg" not in sys.modules
+import oracles
+for path, job in zip(paths, jobs):
+    assert path.tobytes() == oracles._ar1_whole(*job).tobytes(), job
+"""
+
+
+@pytest.mark.parametrize("interpreter", range(5))
+def test_first_recursions_on_two_threads_load_blas_once(interpreter):
+    # each fresh interpreter makes its first two recursions at one moment;
+    # the extension is created once and both paths have the lfilter bits
+    dirs = [str(Path(rednoise.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        dirs + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
