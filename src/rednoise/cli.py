@@ -25,8 +25,8 @@ import numpy as np
 from .figures import restoring_run, spectra_run
 from .models import RedOuDt, increments, parse_model
 from .plateau import plateau_experiment
-from .series import (FORMATS, TimeSeries, _read_csv, load_values, save_series,
-                     write_csv)
+from .series import (FORMATS, TimeSeries, _check_n, _read_csv, load_values,
+                     save_series, write_csv)
 from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
 from .streams import GaussianStream
 
@@ -193,11 +193,10 @@ def cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _length(args: argparse.Namespace, quick_n: int) -> int:
-    """``--n``, or ``quick_n`` under ``--quick``; a negative ``--n`` is
+    """``--n``, or ``quick_n`` under ``--quick``; an ``--n`` below 1 is
     rejected either way."""
-    if args.n < 0:
-        raise ValueError(f"n must be at least 1, got {args.n}")
-    return quick_n if args.quick else args.n
+    n = _check_n(args.n)
+    return quick_n if args.quick else n
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:

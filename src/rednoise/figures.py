@@ -69,6 +69,8 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     spectrum over ``omega`` in [1, 10] (closed form: -2 in that range for
     small theta).
     """
+    n = _check_n(n)
+    band_width = _check_n(band_width, "band_width")
     cases = (("white", White()),
              ("red", RedOuDt(theta)),
              ("du", DiffU(theta)),
@@ -92,7 +94,7 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
         if name == "red":
             red_slope, _ = loglog_slope(avg, 1.0, 10.0)
     return SpectraResult(comparisons=tuple(comparisons), red_slope=red_slope,
-                         n=int(n), dt=float(dt), band_width=int(band_width))
+                         n=n, dt=float(dt), band_width=band_width)
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,7 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     dt = 1.0                            # the discrete chain's unit grid
     burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / dt))
     n = _check_n(n)
+    max_lag = _check_n(max_lag, "max_lag", least=0)
     if n - burn <= 10 * max_lag:
         raise ValueError(
             f"n={n} too short for a burn-in of {burn} and max_lag={max_lag}: "

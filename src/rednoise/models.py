@@ -42,9 +42,9 @@ from .streams import GaussianStream
 
 __all__ = [
     "White", "RedOuDt", "DiffU", "Mixed", "Ar1Driven", "Fgn", "NoiseModel",
-    "ar1_sample", "ar1_autocov", "ou_exact_sample", "ou_autocov",
-    "ou_increment_cov", "fgn_sample", "fbm_autocov", "fgn_increment_cov",
-    "increments", "theoretical_psd", "theoretical_acf",
+    "ar1_autocov", "ou_exact_sample", "ou_autocov", "ou_increment_cov",
+    "fgn_sample", "fbm_autocov", "fgn_increment_cov", "increments",
+    "theoretical_psd",
     "parse_model", "format_model",
 ]
 
@@ -204,19 +204,16 @@ def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.n
     return out
 
 
-def ar1_sample(phi: float, n: int, stream: GaussianStream,
-               init: str = "stationary") -> TimeSeries:
-    """Sample an AR(1) sequence ``eps_{k+1} = phi eps_k + z_k`` at unit step.
+def _ar1_path(coeff: float, scale: float, root: float, n: int,
+              stream: GaussianStream, init: str) -> np.ndarray:
+    """``n`` values of ``x_{k+1} = coeff x_k + scale z_k``.
 
-    ``init="stationary"`` draws ``eps_0 ~ N(0, 1/(1-phi^2))`` (one extra
-    stream draw, taken first); ``init="zero"`` starts at 0.  ``n`` values are
-    returned and ``n-1`` innovations are consumed.
+    ``init="stationary"`` draws ``x_0`` first, as one standard normal divided
+    by ``root``, the square root of the stationary precision; ``init="zero"``
+    starts at 0.  The ``n - 1`` innovations follow.
     """
-    _check_fraction(phi, "phi")
-    _check_init(init)
-    n = _check_n(n)
-    x0 = stream.normal() / np.sqrt(1.0 - phi * phi) if init == "stationary" else 0.0
-    return TimeSeries(dt=1.0, values=_ar1_recursion(phi, 1.0, x0, stream.fill(n - 1)))
+    x0 = stream.normal() / root if init == "stationary" else 0.0
+    return _ar1_recursion(coeff, scale, x0, stream.fill(n - 1))
 
 
 def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
@@ -235,8 +232,8 @@ def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
     n = _check_n(n)
     coeff = np.exp(-theta * dt)
     scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
-    q0 = stream.normal() / np.sqrt(2.0 * theta) if init == "stationary" else 0.0
-    return TimeSeries(dt=dt, values=_ar1_recursion(coeff, scale, q0, stream.fill(n - 1)))
+    return TimeSeries(dt=dt, values=_ar1_path(coeff, scale, np.sqrt(2.0 * theta),
+                                              n, stream, init))
 
 
 def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeSeries:
@@ -374,7 +371,7 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# increments and spectral/covariance dispatch
+# increments and the limiting spectral density
 # ---------------------------------------------------------------------------
 
 def increments(model: NoiseModel, dt: float, n: int,
@@ -390,18 +387,22 @@ def increments(model: NoiseModel, dt: float, n: int,
       increments; U is advanced by explicit Euler with the *same* increments
       that appear in dY (the coupling is the point of this model).  Needs
       ``theta*dt < 1``, so that the Euler coefficient stays positive.
-    - ``Ar1Driven``: the AR(1) path; only ``dt == 1`` is accepted because the
-      continuum scaling of AR(1) noise is not well defined.
+    - ``Ar1Driven``: the AR(1) path ``eps_{k+1} = phi eps_k + z_k`` (initial
+      value first if stationary, ``eps_0 ~ N(0, 1/(1-phi^2))``, then n-1
+      innovations); only ``dt == 1`` is accepted because the continuum
+      scaling of AR(1) noise is not well defined.
     - ``Fgn``: 2n draws (circulant embedding).
     """
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
 
+    # White, RedOuDt and Mixed form dY in the array they sampled, in place.
     if isinstance(model, White):
-        values = np.sqrt(dt) * stream.fill(n)
+        values = stream.fill(n)
+        values *= np.sqrt(dt)
     elif isinstance(model, RedOuDt):
-        u = ou_exact_sample(model.theta, dt, n, stream, init=model.init)
-        values = u.values * dt
+        values = ou_exact_sample(model.theta, dt, n, stream, init=model.init).values
+        values *= dt
     elif isinstance(model, DiffU):
         u = ou_exact_sample(model.theta, dt, n + 1, stream, init=model.init)
         values = np.diff(u.values)
@@ -413,16 +414,21 @@ def increments(model: NoiseModel, dt: float, n: int,
                 "Mixed advances U by Euler and needs theta*dt < 1, "
                 f"got theta*dt={model.theta * dt}")
         u0 = stream.normal() / np.sqrt(2.0 * model.theta)
-        dw = np.sqrt(dt) * stream.fill(n)
-        # U_{k+1} = (1 - theta dt) U_k + dW_k; dY uses the pre-update U_k
-        u = _ar1_recursion(1.0 - model.theta * dt, 1.0, u0, dw)[:-1]
-        values = model.gamma * u * dt + dw
+        dw = stream.fill(n)
+        dw *= np.sqrt(dt)
+        # U_{k+1} = (1 - theta dt) U_k + dW_k; dY = (gamma U_k) dt + dW_k uses
+        # the pre-update U_k and is formed in U's array
+        values = _ar1_recursion(1.0 - model.theta * dt, 1.0, u0, dw)[:-1]
+        values *= model.gamma
+        values *= dt
+        values += dw
     elif isinstance(model, Ar1Driven):
         if dt != 1.0:
             raise ValueError(
                 "Ar1Driven increments are defined only on the unit grid (dt=1); "
                 f"got dt={dt}")
-        values = ar1_sample(model.phi, n, stream, init=model.init).values
+        values = _ar1_path(model.phi, 1.0, np.sqrt(1.0 - model.phi * model.phi),
+                           n, stream, model.init)
     elif isinstance(model, Fgn):
         return fgn_sample(model.hurst, dt, n, stream)
     else:
@@ -457,25 +463,6 @@ def theoretical_psd(model: NoiseModel, omega) -> np.ndarray | float:
     else:
         raise TypeError(f"not a noise model: {model!r}")
     return out if out.ndim else float(out)
-
-
-def theoretical_acf(model: NoiseModel, tau, dt: float | None = None):
-    """Closed-form autocovariance where one exists.
-
-    ``Ar1Driven`` -> AR(1) autocovariance at integer lag; ``RedOuDt`` -> OU
-    autocovariance at time lag; ``DiffU`` -> OU increment covariance (needs
-    the grid step ``dt``).  Other variants have no closed form here and are
-    rejected.
-    """
-    if isinstance(model, Ar1Driven):
-        return ar1_autocov(model.phi, tau)
-    if isinstance(model, RedOuDt):
-        return ou_autocov(model.theta, tau)
-    if isinstance(model, DiffU):
-        if dt is None:
-            raise ValueError("DiffU autocovariance needs the grid step dt")
-        return ou_increment_cov(model.theta, dt, tau)
-    raise ValueError(f"no closed-form autocovariance for {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
-from .series import TimeSeries, _check_finite, _check_positive, _check_rate
+from .series import (TimeSeries, _check_finite, _check_n, _check_positive,
+                     _check_rate)
 from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["PlateauReport", "psd_kernel_auto", "psd_kernel_cross",
            "finite_psd_theoretical", "plateau_experiment"]
+
+# Angular frequencies over which plateau_experiment measures the plateau.
+_PLATEAU_BAND = (10.0, 30.0)
 
 
 def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
@@ -123,41 +127,38 @@ class PlateauReport:
 
 
 def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
-                       omegas, replicas: int, stream: GaussianStream,
-                       plateau_band: tuple[float, float] = (10.0, 30.0),
-                       ) -> PlateauReport:
+                       omegas, replicas: int,
+                       stream: GaussianStream) -> PlateauReport:
     """Measure the high-frequency power of ``dY = U dt + beta dW``.
 
     Each replica draws an independent stationary OU path U and an independent
     Brownian increment stream W (one spawned substream per replica; U first,
     then W), forms the increments, and takes the periodogram; powers are
     averaged across replicas bin by bin.  The plateau estimate is the mean
-    averaged power over ``plateau_band``; for nonzero ``beta`` it must land
-    within 5% of ``beta**2``, for ``beta = 0`` the fitted log-log slope over
-    the band must be -2 +/- 0.2 (pure red noise keeps decaying; any Brownian
-    admixture pins the plateau at its squared amplitude).  Replicas run on
-    two threads, at most four in flight, and their powers are summed in
-    replica order, so the result has the bits of a serial loop.
+    averaged power over the band ``_PLATEAU_BAND`` (omega in [10, 30]); for
+    nonzero ``beta`` it must land within 5% of ``beta**2``, for ``beta = 0``
+    the fitted log-log slope over the band must be -2 +/- 0.2 (pure red
+    noise keeps decaying; any Brownian admixture pins the plateau at its
+    squared amplitude).  Replicas run on two threads, at most four in
+    flight, and their powers are summed in replica order, so the result has
+    the bits of a serial loop.
 
-    Preconditions: ``replicas >= 32`` and ``dt <= 2 pi / (10 * max(omegas))``
-    so every reported frequency sits far below Nyquist.
+    Preconditions: an integer ``replicas >= 32`` and
+    ``dt <= 2 pi / (10 * max(omegas))`` so every reported frequency sits far
+    below Nyquist.
     """
     if not isinstance(alpha_model, RedOuDt):
         raise ValueError(f"alpha_model must be RedOuDt, got {type(alpha_model).__name__}")
     beta = _check_finite(beta, "beta")
     t = _check_positive(t, "T")
     dt = _check_positive(dt, "dt")
-    replicas = int(replicas)
-    if replicas < 32:
-        raise ValueError(f"need at least 32 replicas, got {replicas}")
+    replicas = _check_n(replicas, "replicas", least=32)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     if omegas.size == 0:
         raise ValueError("omegas must be non-empty")
     for w in omegas:
         _check_positive(w, "every omega")
-    lo, hi = float(plateau_band[0]), float(plateau_band[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bad plateau band ({lo}, {hi})")
+    lo, hi = _PLATEAU_BAND
     nyquist = np.pi / dt
     w_top = max(omegas.max(), hi)
     if w_top > nyquist:
@@ -214,7 +215,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     return PlateauReport(beta=beta, t=t, dt=dt, replicas=replicas,
                          omegas=omegas, empirical=empirical,
                          theoretical=np.asarray(theoretical),
-                         plateau_band=(lo, hi),
+                         plateau_band=_PLATEAU_BAND,
                          plateau_estimate=plateau_estimate,
                          plateau_target=plateau_target,
                          decay_slope=float(decay_slope),

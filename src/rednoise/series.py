@@ -69,12 +69,13 @@ def _check_fraction(x, name: str) -> float:
     return x
 
 
-def _check_n(n, name: str = "n") -> int:
-    """A count of samples or steps: an integral value of at least 1."""
-    if not (isinstance(n, Real) and float(n).is_integer()):
+def _check_n(n, name: str = "n", least: int = 1) -> int:
+    """A count (of samples, steps, lags, bins, replicas or streams): an
+    integral value, not a bool, of at least ``least``."""
+    if isinstance(n, bool) or not (isinstance(n, Real) and float(n).is_integer()):
         raise ValueError(f"{name} must be an integer, got {n}")
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {int(n)}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {int(n)}")
     return int(n)
 
 

@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .series import TimeSeries, _check_values
+from .series import TimeSeries, _check_n, _check_values
 
 __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
            "band_average", "empirical_acf", "loglog_slope"]
@@ -87,9 +87,7 @@ def periodogram(series: TimeSeries) -> AvgSpectrum:
 
 
 def _check_band_width(band_width, bins: int) -> int:
-    band_width = int(band_width)
-    if band_width < 1:
-        raise ValueError(f"band_width must be at least 1, got {band_width}")
+    band_width = _check_n(band_width, "band_width")
     if band_width > bins:
         raise ValueError(
             f"band_width={band_width} exceeds the {bins} available bins")
@@ -246,9 +244,7 @@ def empirical_acf(series: TimeSeries, max_lag: int,
         raise ValueError(f"mode must be covariance or correlation, got {mode!r}")
     values = series.values
     n = values.size
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
+    max_lag = _check_n(max_lag, "max_lag", least=0)
     if max_lag >= n / 10:
         raise ValueError(
             f"max_lag={max_lag} too large for {n} samples (must be < n/10)")

@@ -15,6 +15,8 @@ from itertools import islice
 
 import numpy as np
 
+from .series import _check_n
+
 __all__ = ["GaussianStream"]
 
 _MAX_SEED = 2**64
@@ -51,9 +53,7 @@ class GaussianStream:
 
     def fill(self, n: int) -> np.ndarray:
         """Return the next ``n`` standard-normal draws as a float64 array."""
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"cannot draw a negative number of samples: {n}")
+        n = _check_n(n, least=0)
         out = self._gen.standard_normal(n)
         self.count_drawn += n
         return out
@@ -69,9 +69,7 @@ class GaussianStream:
         stream; the derivation is deterministic given the root seed and the
         number of children spawned so far.
         """
-        k = int(k)
-        if k < 1:
-            raise ValueError(f"must spawn at least one child stream, got {k}")
+        k = _check_n(k, "k")
         return [GaussianStream(self.seed, _seq=s) for s in self._seq.spawn(k)]
 
     def __repr__(self):

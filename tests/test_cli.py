@@ -447,6 +447,20 @@ def test_fig2_too_short_for_burn_in_and_lags_exits_2(tmp_path, capsys, n,
                    f"{95 + 10 * max_lag}\n")
 
 
+def test_fig2_negative_max_lag_exits_2_before_simulating(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    for name in ("simulate_discrete", "simulate_exact"):
+        monkeypatch.setattr(f"rednoise.figures.{name}",
+                            lambda *args, name=name: calls.append(name))
+    out_path = tmp_path / "fig2"
+    code, out, err = run(capsys, "fig2", "--quick", "--max-lag", "-1",
+                         "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == "error: max_lag must be at least 0, got -1\n"
+    assert calls == []
+
+
 def test_fig2_shortest_accepted_n_runs(tmp_path, capsys):
     code, out, err = run(capsys, "fig2", "--n", "296", "--out", str(tmp_path))
     assert code in (0, 1) and err == ""

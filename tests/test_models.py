@@ -11,12 +11,12 @@ import rednoise.models as models
 from conftest import StubStream
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
-                      White, ar1_autocov, ar1_sample, band_average,
-                      fbm_autocov, fgn_increment_cov, fgn_sample, format_model,
-                      increments, ou_autocov, ou_exact_sample,
+                      TimeSeries, White, ar1_autocov, band_average,
+                      empirical_acf, fbm_autocov, fgn_increment_cov, fgn_sample,
+                      format_model, increments, ou_autocov, ou_exact_sample,
                       ou_increment_cov, parse_model, periodogram,
-                      simulate_discrete, simulate_exact, theoretical_acf,
-                      theoretical_psd)
+                      plateau_experiment, restoring_run, simulate_discrete,
+                      simulate_exact, spectra_run, theoretical_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +96,54 @@ def test_bad_step_rejected_before_any_draw(dt):
         assert stream.count_drawn == 0
 
 
-@pytest.mark.parametrize("n", [0, -5, 2.9])
-@pytest.mark.parametrize("sample", [
-    lambda n, s: ar1_sample(0.9, n, s),
-    lambda n, s: ou_exact_sample(0.1, 1.0, n, s),
-    lambda n, s: fgn_sample(0.7, 1.0, n, s),
-    lambda n, s: increments(White(), 1.0, n, s),
-    lambda n, s: simulate_discrete(DiscreteSystemParams(0.8, 0.9, 1.0), n, s),
-    lambda n, s: simulate_exact(ContinuousSystemParams(0.2, 0.1, 1.0), 1.0, n, s),
+_RAMP = TimeSeries(1.0, np.arange(100.0))
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.9, True])
+@pytest.mark.parametrize("name, least, count", [
+    ("n", 1, lambda n, s: increments(Ar1Driven(0.9), 1.0, n, s)),
+    ("n", 1, lambda n, s: ou_exact_sample(0.1, 1.0, n, s)),
+    ("n", 1, lambda n, s: fgn_sample(0.7, 1.0, n, s)),
+    ("n", 1, lambda n, s: increments(White(), 1.0, n, s)),
+    ("n", 1, lambda n, s: simulate_discrete(DiscreteSystemParams(0.8, 0.9, 1.0), n, s)),
+    ("n_out", 1,
+     lambda n, s: simulate_exact(ContinuousSystemParams(0.2, 0.1, 1.0), 1.0, n, s)),
+    ("max_lag", 0, lambda n, s: empirical_acf(_RAMP, n)),
+    ("max_lag", 0, lambda n, s: restoring_run(max_lag=n)),
+    ("band_width", 1, lambda n, s: band_average(periodogram(_RAMP), n)),
+    ("band_width", 1, lambda n, s: spectra_run(band_width=n)),
+    ("replicas", 32, lambda n, s: plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01,
+                                                     [10.0], n, s)),
+    ("n", 0, lambda n, s: s.fill(n)),
+    ("k", 1, lambda n, s: s.spawn(n)),
 ], ids=["ar1_sample", "ou_exact_sample", "fgn_sample", "increments",
-        "simulate_discrete", "simulate_exact"])
-def test_bad_count_rejected_before_any_draw(sample, n):
-    # a count must be an integer of at least 1: 2.9 is not rounded down
-    stream = GaussianStream(0)
-    want = "must be an integer, got 2.9" if n == 2.9 \
-        else f"must be at least 1, got {n}"
-    with pytest.raises(ValueError, match=r"^n(_out)? " + re.escape(want) + "$"):
-        sample(n, stream)
-    assert stream.count_drawn == 0
+        "simulate_discrete", "simulate_exact", "empirical_acf", "restoring_run",
+        "band_average", "spectra_run", "plateau_experiment", "fill", "spawn"])
+def test_bad_count_rejected_before_any_draw(monkeypatch, name, least, count, n):
+    # every count is an integer, not a bool, of at least its minimum: 2.9 is
+    # not rounded down and True is not 1.  An int n stands for the count
+    # least - 1 + n, so 0 is the largest count too small.
+    made = []
+    init = GaussianStream.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(GaussianStream, "__init__", recording_init)
+    bad = least - 1 + n if type(n) is int else n
+    want = f"must be at least {least}, got {bad}" if type(n) is int \
+        else f"must be an integer, got {n}"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} {want}") + "$"):
+        count(bad, GaussianStream(0))
+    assert [s.count_drawn for s in made] == [0] * len(made)
 
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values
 # ---------------------------------------------------------------------------
 
 def test_ar1_hand_recursion():
-    out = ar1_sample(0.9, 3, StubStream([1.0, -0.5]), init="zero")
+    out = increments(Ar1Driven(0.9, init="zero"), 1.0, 3, StubStream([1.0, -0.5]))
     np.testing.assert_allclose(out.values, [0.0, 1.0, 0.4], rtol=1e-15)
     assert out.dt == 1.0
 
@@ -259,7 +282,7 @@ def test_fgn_cov_matches_long_double_series(hurst):
 # ---------------------------------------------------------------------------
 
 def test_ar1_stationary_variance_and_lag1():
-    x = ar1_sample(0.9, 1_000_000, GaussianStream(3)).values
+    x = increments(Ar1Driven(0.9), 1.0, 1_000_000, GaussianStream(3)).values
     assert x.var() == pytest.approx(5.2632, rel=0.03)
     lag1 = np.mean(x[:-1] * x[1:]) / x.var()
     assert lag1 == pytest.approx(0.9, abs=0.01)
@@ -483,22 +506,6 @@ def test_ar1_psd_low_frequency_matches_sampled_form():
         exact = oracles.expected_periodogram("ar1", 1.0, omega, phi=phi)
         assert theoretical_psd(Ar1Driven(phi), omega) == pytest.approx(
             float(exact), rel=0.01)
-
-
-# ---------------------------------------------------------------------------
-# closed-form autocovariance dispatch
-# ---------------------------------------------------------------------------
-
-def test_theoretical_acf_dispatch():
-    assert theoretical_acf(RedOuDt(0.1), 0.0) == pytest.approx(5.0, rel=1e-12)
-    assert theoretical_acf(Ar1Driven(0.9), 1) == pytest.approx(4.736842, abs=1e-6)
-    assert theoretical_acf(DiffU(0.1), 1.0, dt=0.1) == pytest.approx(
-        -4.5242e-4, rel=1e-4)
-    with pytest.raises(ValueError):
-        theoretical_acf(DiffU(0.1), 1.0)
-    for model in (White(), Mixed(0.1, 0.5), Fgn(0.7)):
-        with pytest.raises(ValueError):
-            theoretical_acf(model, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,6 @@ def test_plateau_report_bookkeeping():
     dict(omegas=[10.0, float("inf")]),
     dict(t=0.1),                         # fewer than 16 steps
     dict(beta=float("inf")),
-    dict(plateau_band=(5.0, 5.0)),
 ])
 def test_plateau_preconditions(kwargs):
     base = dict(alpha_model=RedOuDt(0.1), beta=1.0, t=500.0, dt=0.01,

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rednoise import spectral
 from rednoise import (Ar1Driven, AvgSpectrum, DiffU, GaussianStream, Mixed,
-                      RedOuDt, TimeSeries, White, ar1_sample, band_average,
-                      empirical_acf, fgn_sample, increments, loglog_slope,
-                      periodogram)
+                      RedOuDt, TimeSeries, White, band_average, empirical_acf,
+                      fgn_sample, increments, loglog_slope, periodogram)
 
 
 def _series(values, dt=1.0):
@@ -165,7 +164,7 @@ def test_band_spectrum_rejects_what_the_reference_rejects():
 # ---------------------------------------------------------------------------
 
 def test_acf_ar1_correlation_profile():
-    x = ar1_sample(0.9, 2_000_000, GaussianStream(6))
+    x = increments(Ar1Driven(0.9), 1.0, 2_000_000, GaussianStream(6))
     est = empirical_acf(TimeSeries(1.0, x.values), 20, mode="correlation")
     np.testing.assert_array_equal(est.lags, np.arange(21))
     assert est.values[0] == 1.0
@@ -174,7 +173,7 @@ def test_acf_ar1_correlation_profile():
 
 
 def test_acf_covariance_mode_scale():
-    x = ar1_sample(0.8, 500_000, GaussianStream(7))
+    x = increments(Ar1Driven(0.8), 1.0, 500_000, GaussianStream(7))
     est = empirical_acf(TimeSeries(1.0, x.values), 5, mode="covariance")
     assert est.values[0] == pytest.approx(x.values.var(), rel=1e-10)
 
