@@ -21,7 +21,8 @@ from .series import TimeSeries, _check_n
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
-from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
+from .spectral import (AvgSpectrum, _band_spectrum, _check_band_width,
+                       empirical_acf, loglog_slope)
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",
@@ -70,7 +71,7 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     small theta).
     """
     n = _check_n(n)
-    band_width = _check_n(band_width, "band_width")
+    band_width = _check_band_width(band_width, n // 2)
     cases = (("white", White()),
              ("red", RedOuDt(theta)),
              ("du", DiffU(theta)),

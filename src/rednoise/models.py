@@ -43,9 +43,8 @@ from .streams import GaussianStream
 __all__ = [
     "White", "RedOuDt", "DiffU", "Mixed", "Ar1Driven", "Fgn", "NoiseModel",
     "ar1_autocov", "ou_exact_sample", "ou_autocov", "ou_increment_cov",
-    "fgn_sample", "fbm_autocov", "fgn_increment_cov", "increments",
-    "theoretical_psd",
-    "parse_model", "format_model",
+    "fgn_sample", "fgn_increment_cov", "increments", "theoretical_psd",
+    "parse_model",
 ]
 
 _INITS = ("stationary", "zero")
@@ -332,18 +331,6 @@ def ou_increment_cov(theta: float, dt: float, tau) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def fbm_autocov(hurst: float, t, tau) -> np.ndarray | float:
-    """Covariance ``Cov(B^H_t, B^H_{t+tau}) = (t^2H + (t+tau)^2H - tau^2H)/2``."""
-    _check_fraction(hurst, "hurst")
-    t = np.asarray(t, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(t < 0) or np.any(tau < 0):
-        raise ValueError("t and tau must be nonnegative")
-    two_h = 2.0 * hurst
-    out = 0.5 * (t**two_h + (t + tau) ** two_h - tau**two_h)
-    return out if out.ndim else float(out)
-
-
 def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
     """Lag-``m`` covariance of fGn increments over step ``dt``.
 
@@ -507,15 +494,3 @@ def parse_model(text: str) -> NoiseModel:
     except TypeError as exc:
         raise ValueError(f"bad fields for model {tag!r}: {exc}") from None
 
-
-def format_model(model: NoiseModel) -> str:
-    """Inverse of :func:`parse_model` (round-trips exactly)."""
-    for tag, cls in _TAGS.items():
-        if type(model) is cls:
-            parts = [f"model={tag}"]
-            for name in getattr(cls, "__dataclass_fields__", {}):
-                value = getattr(model, name)
-                parts.append(f"{name}={value!r}" if isinstance(value, str)
-                             else f"{name}={value}")
-            return " ".join(p.replace("'", "") for p in parts)
-    raise TypeError(f"not a noise model: {model!r}")

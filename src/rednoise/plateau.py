@@ -49,7 +49,9 @@ def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
     identity is a test oracle, not an implementation shortcut.
     """
     t = _check_positive(t, "T")
-    _check_rate(theta, "theta")
+    rate = _check_rate(theta, "theta")
+    if rate * rate == np.inf:
+        raise ValueError(f"theta={rate} too large: theta**2 overflows")
     omega = np.asarray(omega, dtype=np.float64)
     d = theta * theta + omega * omega
     decay = np.exp(-theta * t)
@@ -159,11 +161,8 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     for w in omegas:
         _check_positive(w, "every omega")
     lo, hi = _PLATEAU_BAND
-    nyquist = np.pi / dt
     w_top = max(omegas.max(), hi)
-    if w_top > nyquist:
-        raise ValueError(
-            f"requested frequency {w_top:.3g} exceeds Nyquist {nyquist:.3g}")
+    # this also rejects any frequency above Nyquist, pi/dt
     if dt > 2.0 * np.pi / (10.0 * w_top):
         raise ValueError(
             f"dt={dt} too coarse for max frequency {w_top:.3g} "
@@ -173,6 +172,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     if n < 16:
         raise ValueError(f"horizon T={t} at dt={dt} gives only {n} steps")
     theta = alpha_model.theta
+    theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
 
     def replica(child):
         u = ou_exact_sample(theta, dt, n, child, init=alpha_model.init)
@@ -192,7 +192,6 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
         half = max(0.02 * w, 3.0 * d_omega)
         sel = np.abs(grid - w) <= half
         empirical[i] = mean_powers[sel].mean()
-    theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
 
     band_sel = (grid >= lo) & (grid <= hi)
     plateau_estimate = float(mean_powers[band_sel].mean())

@@ -133,9 +133,14 @@ def write_csv(path, header: str, *columns) -> None:
             fh.write((row * rows) % tuple(flat[start * k:(start + rows) * k].tolist()))
 
 
-def _infer_format(path) -> str:
-    """``f64le`` for a ``.f64le`` suffix in any case, ``csv`` otherwise."""
-    return "f64le" if Path(path).suffix.lower() == ".f64le" else "csv"
+def _resolve_format(path, fmt: str | None) -> str:
+    """``fmt`` if it is one of ``FORMATS``; without it, ``f64le`` for a
+    ``.f64le`` suffix in any case and ``csv`` otherwise."""
+    if fmt is None:
+        fmt = "f64le" if Path(path).suffix.lower() == ".f64le" else "csv"
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return fmt
 
 
 def save_series(path, series, fmt: str | None = None) -> None:
@@ -143,10 +148,7 @@ def save_series(path, series, fmt: str | None = None) -> None:
 
     Without ``fmt`` the format follows the suffix, as in :func:`load_values`.
     """
-    if fmt is None:
-        fmt = _infer_format(path)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    fmt = _resolve_format(path, fmt)
     if fmt == "csv":
         write_csv(path, "t,value", series.t, series.values)
     else:
@@ -180,10 +182,7 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
     in the file and must be supplied.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = _infer_format(path)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    fmt = _resolve_format(path, fmt)
     if fmt == "f64le":
         if dt is None:
             raise ValueError("dt is required when reading f64le data")

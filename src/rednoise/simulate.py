@@ -7,11 +7,10 @@ The discrete system is an AR(1) chain whose forcing is itself AR(1):
 The continuous counterpart is the linear SDE ``dX = -lam X dt + sigma U dt``
 driven by the OU process ``dU = -theta U dt + dW``.  The pair ``(U, X)`` is a
 linear Gaussian system, so :func:`simulate_exact` samples it exactly at any
-step.  :func:`euler_integrate` advances X by explicit Euler over a given
-forcing; over ``increments(RedOuDt(theta, init="zero"), dt, n, stream)`` it
-integrates the same SDE with a measurable Euler bias.  The two systems are
-linked by ``lam = -ln(psi)``, ``theta = -ln(phi)`` and share the closed-form
-stationary autocovariance
+step, with none of the Euler bias that the explicit Euler reference in
+``tests/oracles.py`` shows over ``increments(RedOuDt(theta, init="zero"), dt,
+n, stream)``.  The two systems are linked by ``lam = -ln(psi)``,
+``theta = -ln(phi)`` and share the closed-form stationary autocovariance
 
     r(tau) = sigma^2 (lam e^{-theta|tau|} - theta e^{-lam|tau|}) / (lam - theta)
 
@@ -31,7 +30,7 @@ from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
            "continuous_from_discrete", "simulate_discrete", "simulate_exact",
-           "euler_integrate", "stationary_autocorr"]
+           "stationary_autocorr"]
 
 # Steps processed per block by the simulators (512 KB of draws per block).
 # Blocked filtering with carried state is bit-for-bit identical to filtering
@@ -132,25 +131,6 @@ def simulate_discrete(params: DiscreteSystemParams, n: int,
     values = _cascade(params.phi, 1.0, params.psi, params.x0,
                       gain=params.sigma, n_out=n, stream=stream)
     return TimeSeries(dt=1.0, values=values)
-
-
-def euler_integrate(lam: float, sigma: float, x0: float,
-                    forcing: TimeSeries) -> TimeSeries:
-    """Explicit Euler for ``dX = -lam X dt + sigma dY`` over a forcing series.
-
-    ``X_{k+1} = X_k - lam X_k dt + sigma dY_k``; returns the n+1 values
-    ``X_0 .. X_n`` for n forcing increments, on the forcing grid.  ``lam = 0``
-    turns this into a plain cumulative sum (scaled random walk for white
-    forcing).  ``lam*dt`` must stay below 2, where the Euler step diverges.
-    """
-    _check_finite(lam, "lam")
-    if lam * forcing.dt >= 2.0:
-        raise ValueError(
-            f"Euler diverges for lam*dt >= 2, got lam*dt={lam * forcing.dt}")
-    _check_finite(sigma, "sigma")
-    _check_finite(x0, "x0")
-    values = _ar1_recursion(1.0 - lam * forcing.dt, sigma, x0, forcing.values)
-    return TimeSeries(dt=forcing.dt, values=values)
 
 
 # Below this max(lam, theta) * h the closed-form covariances of _exact_step

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+
+from rednoise import GaussianStream
 
 
 class StubStream:
@@ -16,3 +19,18 @@ class StubStream:
 
     def normal(self):
         return float(self.fill(1)[0])
+
+
+@pytest.fixture
+def made_streams(monkeypatch):
+    """Every ``GaussianStream`` made during the test, spawned ones included,
+    so a test can check that a call drew nothing from any of them."""
+    made = []
+    init = GaussianStream.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(GaussianStream, "__init__", recording_init)
+    return made

@@ -278,6 +278,28 @@ def simulate_exact_reference(params, dt: float, n_out: int, stream) -> np.ndarra
     return _ar1_whole(b, 1.0, params.x0, c * u[:-1] + l21 * z[0::2] + l22 * z[1::2])
 
 
+def euler_integrate(lam: float, sigma: float, x0: float, forcing):
+    """Explicit Euler for ``dX = -lam X dt + sigma dY`` over a forcing series.
+
+    ``X_{k+1} = X_k - lam X_k dt + sigma dY_k``; returns the n+1 values
+    ``X_0 .. X_n`` for n forcing increments as a ``TimeSeries`` on the
+    forcing grid.  ``lam = 0`` turns this into a plain cumulative sum.  Over
+    ``increments(RedOuDt(theta, init="zero"), dt, n, stream)`` it is the
+    Euler path of the restoring SDE, the reference for the Euler bias that
+    ``rednoise.simulate_exact`` avoids.  ``lam*dt`` must stay below 2, where
+    the Euler step diverges.
+    """
+    from rednoise import TimeSeries
+    for name, value in (("lam", lam), ("sigma", sigma), ("x0", x0)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if lam * forcing.dt >= 2.0:
+        raise ValueError(
+            f"Euler diverges for lam*dt >= 2, got lam*dt={lam * forcing.dt}")
+    return TimeSeries(dt=forcing.dt, values=_ar1_whole(
+        1.0 - lam * forcing.dt, sigma, x0, forcing.values))
+
+
 # ---------------------------------------------------------------------------
 # exact transition of a linear Gaussian system (Van Loan 1978)
 # ---------------------------------------------------------------------------
@@ -406,3 +428,21 @@ def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,
         mean_powers = pg.powers if mean_powers is None \
             else mean_powers + pg.powers
     return mean_powers / replicas, children
+
+
+# ---------------------------------------------------------------------------
+# flat text form of a noise model
+# ---------------------------------------------------------------------------
+
+_MODEL_TAGS = {"White": "white", "RedOuDt": "red", "DiffU": "du",
+               "Mixed": "mixed", "Ar1Driven": "ar1", "Fgn": "fgn"}
+
+
+def format_model(model) -> str:
+    """The text that ``rednoise.parse_model`` reads back as ``model``: its
+    tag, then every field as ``name=value``, floats in their shortest
+    round-tripping form."""
+    from dataclasses import fields
+    parts = [f"model={_MODEL_TAGS[type(model).__name__]}"]
+    parts += [f"{f.name}={getattr(model, f.name)}" for f in fields(model)]
+    return " ".join(parts)

@@ -411,6 +411,14 @@ def test_theorem_zero_target_exits_2(tmp_path, capsys):
     assert "--beta 0" in err and err.count("\n") == 1
 
 
+def test_theorem_overflowing_theta_exits_2_before_simulating(capsys,
+                                                            made_streams):
+    code, out, err = run(capsys, "theorem", "--quick", "--theta", "1e300")
+    assert code == 2 and out == ""
+    assert err == "error: theta=1e+300 too large: theta**2 overflows\n"
+    assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
+
+
 def test_theorem_zero_beta_decays(capsys):
     code, stdout, _ = run(capsys, "theorem", "--beta", "0", "--quick")
     assert code == 0

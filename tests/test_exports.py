@@ -56,3 +56,14 @@ def test_src_imports_are_used():
         used |= set(importlib.import_module(f"rednoise.{path.stem}").__all__)
         unused += [f"{path.stem}.{name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_all_is_one_literal_list():
+    # the export count is read from the source by parsing this literal, so a
+    # computed __all__ (star imports, concatenation) would be miscounted
+    tree = ast.parse(Path(rednoise.__file__).read_text(encoding="utf-8"))
+    lists = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    assert len(lists) == 1 and isinstance(lists[0], ast.List)
+    names = ast.literal_eval(lists[0])
+    assert len(names) == len(rednoise.__all__)

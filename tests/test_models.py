@@ -12,8 +12,8 @@ from conftest import StubStream
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
                       TimeSeries, White, ar1_autocov, band_average,
-                      empirical_acf, fbm_autocov, fgn_increment_cov, fgn_sample,
-                      format_model, increments, ou_autocov, ou_exact_sample,
+                      empirical_acf, fgn_increment_cov, fgn_sample,
+                      increments, ou_autocov, ou_exact_sample,
                       ou_increment_cov, parse_model, periodogram,
                       plateau_experiment, restoring_run, simulate_discrete,
                       simulate_exact, spectra_run, theoretical_psd)
@@ -119,24 +119,24 @@ _RAMP = TimeSeries(1.0, np.arange(100.0))
 ], ids=["ar1_sample", "ou_exact_sample", "fgn_sample", "increments",
         "simulate_discrete", "simulate_exact", "empirical_acf", "restoring_run",
         "band_average", "spectra_run", "plateau_experiment", "fill", "spawn"])
-def test_bad_count_rejected_before_any_draw(monkeypatch, name, least, count, n):
+def test_bad_count_rejected_before_any_draw(made_streams, name, least, count, n):
     # every count is an integer, not a bool, of at least its minimum: 2.9 is
     # not rounded down and True is not 1.  An int n stands for the count
     # least - 1 + n, so 0 is the largest count too small.
-    made = []
-    init = GaussianStream.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(GaussianStream, "__init__", recording_init)
     bad = least - 1 + n if type(n) is int else n
     want = f"must be at least {least}, got {bad}" if type(n) is int \
         else f"must be an integer, got {n}"
     with pytest.raises(ValueError, match="^" + re.escape(f"{name} {want}") + "$"):
         count(bad, GaussianStream(0))
-    assert [s.count_drawn for s in made] == [0] * len(made)
+    assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
+
+
+def test_spectra_run_rejects_band_wider_than_spectrum_before_any_draw(
+        made_streams):
+    with pytest.raises(ValueError,
+                       match="^band_width=600 exceeds the 500 available bins$"):
+        spectra_run(n=1000, band_width=600)
+    assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values
@@ -241,14 +241,6 @@ def test_ou_increment_cov_tiny_step_stability():
     got = ou_increment_cov(theta, dt, 1.0)
     expect = -0.5 * theta * dt * dt * np.exp(-theta * 1.0)
     assert got == pytest.approx(expect, rel=1e-9)
-
-
-def test_fbm_autocov_values():
-    assert fbm_autocov(0.5, 2.0, 3.0) == pytest.approx(2.0, rel=1e-14)
-    assert fbm_autocov(0.7, 1.0, 1.0) == pytest.approx(1.319508, abs=1e-6)
-    assert fbm_autocov(0.3, 0.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        fbm_autocov(0.7, -1.0, 1.0)
 
 
 def test_fgn_increment_cov_values():
@@ -417,6 +409,23 @@ def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
 # documented draw counts (the reproducibility contract)
 # ---------------------------------------------------------------------------
 
+# every model and init with its documented draws for n increments
+_PROTOCOL = [
+    (White(), lambda n: n),
+    (RedOuDt(0.1), lambda n: n),                     # 1 init + n-1 steps
+    (RedOuDt(0.1, init="zero"), lambda n: n - 1),
+    (DiffU(0.1), lambda n: n + 1),                   # n+1 OU values
+    (DiffU(0.1, init="zero"), lambda n: n),
+    (Mixed(0.1, 0.5), lambda n: n + 1),              # U0 + n shared dW
+    (Ar1Driven(0.9), lambda n: n),
+    (Ar1Driven(0.9, init="zero"), lambda n: n - 1),
+    (Fgn(0.7), lambda n: 2 * n),                     # circulant embedding
+]
+# the shortest lengths, and one past a block of the AR(1) solve and of the
+# fGn workspace
+_EDGES = (1, 2, models._AR1_BLOCK + 1, models._FGN_BLOCK + 1)
+
+
 @pytest.mark.parametrize("model,n,expect", [
     (White(), 50, 50),
     (RedOuDt(0.1), 50, 50),                          # 1 init + 49 steps
@@ -427,7 +436,7 @@ def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
     (Ar1Driven(0.9, init="zero"), 50, 49),
     (Fgn(0.7), 50, 100),                             # circulant embedding
     (Fgn(0.7), 1, 2),
-])
+] + [(model, n, draws(n)) for model, draws in _PROTOCOL for n in _EDGES])
 def test_draw_counts(model, n, expect):
     stream = GaussianStream(11)
     increments(model, 1.0, n, stream)
@@ -526,7 +535,7 @@ _MODELS = st.one_of(
 @given(model=_MODELS)
 @settings(max_examples=200)
 def test_model_text_round_trip(model):
-    assert parse_model(format_model(model)) == model
+    assert parse_model(oracles.format_model(model)) == model
 
 
 def test_parse_model_examples():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,18 @@ def test_plateau_rejects_bad_dt_before_drawing(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         plateau_experiment(RedOuDt(0.1), 1.0, 500.0, dt, [10.0], 32, stream)
     assert stream.count_drawn == 0
+
+
+def test_overflowing_theta_rejected_by_name_before_any_draw(made_streams):
+    # theta**2 overflows in the finite-horizon kernel, which is evaluated
+    # before any replica is simulated
+    want = "^" + re.escape("theta=1e+300 too large: theta**2 overflows") + "$"
+    with pytest.raises(ValueError, match=want):
+        psd_kernel_auto(500.0, 10.0, 1e300)
+    with pytest.raises(ValueError, match=want):
+        plateau_experiment(RedOuDt(1e300), 1.0, 500.0, 0.01, [10.0], 32,
+                           GaussianStream(49))
+    assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
 
 def test_plateau_rejects_wrong_model():

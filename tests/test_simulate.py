@@ -9,9 +9,8 @@ import rednoise.simulate as sim
 from conftest import StubStream
 from rednoise import (ContinuousSystemParams, DiscreteSystemParams,
                       GaussianStream, TimeSeries, White,
-                      continuous_from_discrete, euler_integrate, increments,
-                      ou_exact_sample, simulate_discrete, simulate_exact,
-                      stationary_autocorr)
+                      continuous_from_discrete, increments, ou_exact_sample,
+                      simulate_discrete, simulate_exact, stationary_autocorr)
 
 DISC = DiscreteSystemParams(psi=0.8, phi=0.9, sigma=1.0)
 CONT = continuous_from_discrete(DISC)
@@ -109,7 +108,7 @@ def test_discrete_chain_autocovariance():
 
 
 # ---------------------------------------------------------------------------
-# Euler integrator
+# Euler integrator (the reference in tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_euler_zero_rate_is_random_walk():
@@ -117,13 +116,13 @@ def test_euler_zero_rate_is_random_walk():
     stream = GaussianStream(3)
     for i in range(tot.size):
         forcing = increments(White(), 0.01, 100, stream)
-        tot[i] = euler_integrate(0.0, 1.0, 0.0, forcing).values[-1]
+        tot[i] = oracles.euler_integrate(0.0, 1.0, 0.0, forcing).values[-1]
     assert tot.var() == pytest.approx(1.0, rel=0.05)
 
 
 def test_euler_pure_decay():
     forcing = TimeSeries(0.001, np.zeros(1000))
-    out = euler_integrate(1.0, 0.0, 1.0, forcing)
+    out = oracles.euler_integrate(1.0, 0.0, 1.0, forcing)
     assert len(out.values) == 1001
     assert out.values[-1] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
@@ -131,13 +130,13 @@ def test_euler_pure_decay():
 def test_euler_rejects_bad_input():
     forcing = TimeSeries(0.1, np.ones(5))
     with pytest.raises(ValueError):
-        euler_integrate(float("inf"), 1.0, 0.0, forcing)
+        oracles.euler_integrate(float("inf"), 1.0, 0.0, forcing)
     with pytest.raises(ValueError):
-        euler_integrate(0.1, float("nan"), 0.0, forcing)
+        oracles.euler_integrate(0.1, float("nan"), 0.0, forcing)
     with pytest.raises(ValueError, match=r"lam\*dt=2.0"):
-        euler_integrate(20.0, 1.0, 0.0, forcing)
+        oracles.euler_integrate(20.0, 1.0, 0.0, forcing)
     # just below 2 the step is stable, if oscillating
-    out = euler_integrate(19.9, 0.0, 1.0, forcing).values
+    out = oracles.euler_integrate(19.9, 0.0, 1.0, forcing).values
     assert np.all(np.diff(np.abs(out)) < 0.0)
 
 
@@ -162,7 +161,7 @@ def test_euler_strong_convergence_rate():
         for i, step in enumerate((8, 4, 2)):
             dt = dt0 * step
             forcing = TimeSeries(dt, u[::step] * dt)
-            path = euler_integrate(lam, 1.0, 0.0, forcing).values
+            path = oracles.euler_integrate(lam, 1.0, 0.0, forcing).values
             diff = path[1:] - ref[step::step]
             errors[i] += np.sqrt(np.mean(diff ** 2))
     assert 1.5 < errors[0] / errors[1] < 2.5
