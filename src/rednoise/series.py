@@ -62,6 +62,13 @@ def _check_rate(x, name: str) -> float:
     return x
 
 
+def _check_square(x, name: str) -> float:
+    x = float(x)
+    if x * x == np.inf:
+        raise ValueError(f"{name}={x} too large: {name}**2 overflows")
+    return x
+
+
 def _check_fraction(x, name: str) -> float:
     x = float(x)
     if not 0.0 < x < 1.0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .models import _ar1_recursion
 from .series import (TimeSeries, _check_finite, _check_fraction, _check_n,
-                     _check_positive, _check_rate)
+                     _check_positive, _check_rate, _check_square)
 from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
@@ -52,7 +52,7 @@ class DiscreteSystemParams:
     def __post_init__(self):
         _check_fraction(self.psi, "psi")
         _check_fraction(self.phi, "phi")
-        _check_positive(self.sigma, "sigma")
+        _check_square(_check_positive(self.sigma, "sigma"), "sigma")
         _check_finite(self.x0, "x0")
 
 
@@ -68,7 +68,7 @@ class ContinuousSystemParams:
     def __post_init__(self):
         _check_rate(self.lam, "lam")
         _check_rate(self.theta, "theta")
-        _check_positive(self.sigma, "sigma")
+        _check_square(_check_positive(self.sigma, "sigma"), "sigma")
         _check_finite(self.x0, "x0")
 
 

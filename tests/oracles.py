@@ -126,8 +126,16 @@ def expected_periodogram(kind: str, dt: float, nu, theta: float = 0.1,
 
 
 # ---------------------------------------------------------------------------
-# exact stationary autocovariance of the doubly-AR(1) system
+# exact stationary autocovariances of the AR(1) and the doubly-AR(1) system
 # ---------------------------------------------------------------------------
+
+def ar1_autocov(phi: float, tau) -> np.ndarray | float:
+    """Autocovariance ``phi^|tau| / (1 - phi^2)`` of the stationary AR(1)
+    with unit-variance innovations."""
+    tau = np.abs(np.asarray(tau, dtype=np.float64))
+    out = phi**tau / (1.0 - phi * phi)
+    return out if out.ndim else float(out)
+
 
 def ar1_chain_autocov(a: float, b: float, r: float, lags) -> np.ndarray:
     """Stationary autocovariance of ``X_{k+1} = a X_k + b F_k`` with
@@ -348,7 +356,7 @@ def periodogram_reference(series):
     spec = np.fft.rfft(values)[1:n // 2 + 1]
     powers = (spec.real**2 + spec.imag**2) / (n * dt)
     omegas = 2.0 * np.pi * np.arange(1, n // 2 + 1) / (n * dt)
-    return AvgSpectrum(omegas=omegas, powers=powers, band_width=1)
+    return AvgSpectrum(omegas=omegas, powers=powers)
 
 
 # ---------------------------------------------------------------------------

@@ -273,15 +273,23 @@ def test_sampler_failures_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
     assert code == 2 and out == "" and err == cause
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model, cause", [
     ("model=mixed theta=15 gamma=0.5", "theta*dt=1.5"),
     ("model=mixed theta=25 gamma=0.5", "theta*dt=2.5"),
     ("model=red theta=1e-320", "smallest normal double"),
+    ("model=mixed theta=0.1 gamma=1e308",
+     "gamma=1e+308 too large: gamma**2 overflows"),
+    # gamma**2 is finite, but the sum of 1e5 squared deviations is not
+    ("model=mixed theta=0.1 gamma=1e153",
+     "variance of the generated values overflows"),
 ])
 def test_out_of_range_products_exit_2(tmp_path, capsys, model, cause):
+    # under filterwarnings("error") a numpy warning ahead of the error line
+    # raises, and the one-line check fails
     out_path = tmp_path / "x.csv"
     code, out, err = run(capsys, "generate", "--model", model, "--dt", "0.1",
-                         "--n", "100", "--out", str(out_path))
+                         "--n", "100000", "--out", str(out_path))
     assert code == 2 and out == "" and not out_path.exists()
     assert err.startswith("error: ") and cause in err and err.count("\n") == 1
 
@@ -392,30 +400,30 @@ def test_theorem_quick_pass_and_csv(tmp_path, capsys):
 
 
 def test_theorem_negative_control_fails(capsys):
-    # beta = 0.5 puts the plateau near 0.25, far outside 5% of 1
-    code, stdout, _ = run(capsys, "theorem", "--beta", "0.5", "--quick",
-                          "--assert-target", "1")
+    # at beta = 0.05 the drift's omega^-2 tail still outweighs beta**2 over
+    # [10, 30], so the measured plateau misses its target by far more than 5%
+    code, stdout, _ = run(capsys, "theorem", "--quick", "--beta", "0.05")
     assert code == 1
-    assert "FAIL theorem" in stdout and "reason=" in stdout
-    assert "vs asserted target 1 (tol 5%)" in stdout
+    assert stdout.splitlines()[-1] == (
+        "FAIL theorem reason=plateau-assertion plateau 0.0059129 vs target "
+        "0.0025 (rel dev 136.52%, tol 5%)")
 
 
-def test_theorem_zero_target_exits_2(tmp_path, capsys):
-    # a 5% band around 0 cannot hold a measured plateau; the error points to
-    # the decay-slope gate of --beta 0 instead
-    out_path = tmp_path / "plateau.csv"
-    code, out, err = run(capsys, "theorem", "--beta", "0", "--quick",
-                         "--assert-target", "0", "--out", str(out_path))
-    assert code == 2 and out == "" and not out_path.exists()
-    assert err.startswith("error: --assert-target 0 cannot pass")
-    assert "--beta 0" in err and err.count("\n") == 1
-
-
-def test_theorem_overflowing_theta_exits_2_before_simulating(capsys,
+@pytest.mark.filterwarnings("error")
+def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
                                                             made_streams):
-    code, out, err = run(capsys, "theorem", "--quick", "--theta", "1e300")
-    assert code == 2 and out == ""
-    assert err == "error: theta=1e+300 too large: theta**2 overflows\n"
+    # each squared argument is checked by name before any draw
+    for argv, cause in [
+        (("theorem", "--quick", "--theta", "1e300"),
+         "theta=1e+300 too large: theta**2 overflows"),
+        (("theorem", "--quick", "--beta", "1e200"),
+         "beta=1e+200 too large: beta**2 overflows"),
+        (("fig2", "--quick", "--sigma", "1e300", "--out", str(tmp_path / "f")),
+         "sigma=1e+300 too large: sigma**2 overflows"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {cause}\n")
+    assert not (tmp_path / "f").exists()
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
 

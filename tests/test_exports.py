@@ -1,10 +1,13 @@
+import argparse
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import rednoise
+from rednoise import cli
 
 
 def test_exported_names_resolve_once():
@@ -37,6 +40,28 @@ def test_documented_imports_resolve():
                 for alias in node.names]
     assert len(sources) > 5 and imported
     assert sorted(set(imported) - set(rednoise.__all__)) == []
+
+
+def test_documented_cli_lines_parse():
+    # every `rednoise ...` line of the README's shell blocks parses (without
+    # running), and every --option the CLI section names belongs to some
+    # subcommand, so a removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    parser = cli._build_parser()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme,
+                                          flags=re.DOTALL)
+             for line in block.splitlines() if line.startswith("rednoise ")]
+    assert len(lines) >= 8
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values()
+               for opt in sub._option_string_actions}
+    section = readme[readme.index("## CLI"):readme.index("## Library tour")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named and sorted(named - options) == []
 
 
 def test_src_imports_are_used():

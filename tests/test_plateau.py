@@ -197,14 +197,28 @@ def test_plateau_rejects_bad_dt_before_drawing(dt):
 
 
 def test_overflowing_theta_rejected_by_name_before_any_draw(made_streams):
-    # theta**2 overflows in the finite-horizon kernel, which is evaluated
-    # before any replica is simulated
-    want = "^" + re.escape("theta=1e+300 too large: theta**2 overflows") + "$"
-    with pytest.raises(ValueError, match=want):
-        psd_kernel_auto(500.0, 10.0, 1e300)
-    with pytest.raises(ValueError, match=want):
-        plateau_experiment(RedOuDt(1e300), 1.0, 500.0, 0.01, [10.0], 32,
-                           GaussianStream(49))
+    # theta**2 overflows in both finite-horizon kernels, which are evaluated
+    # before any replica is simulated; gamma**2 and beta**2 are checked as
+    # the model and the experiment are set up
+    def message(name, x):
+        return "^" + re.escape(f"{name}={x} too large: {name}**2 overflows") + "$"
+
+    for call, want in [
+        (lambda: psd_kernel_auto(500.0, 10.0, 1e300), message("theta", 1e300)),
+        (lambda: psd_kernel_cross(500.0, 10.0, 1e300), message("theta", 1e300)),
+        (lambda: plateau_experiment(RedOuDt(1e300), 1.0, 500.0, 0.01, [10.0],
+                                    32, GaussianStream(49)),
+         message("theta", 1e300)),
+        (lambda: finite_psd_theoretical(Mixed(0.1, 1e200), 500.0, 10.0),
+         message("gamma", 1e200)),
+        (lambda: theoretical_psd(Mixed(0.1, -1e200), 1.0),
+         message("gamma", -1e200)),
+        (lambda: plateau_experiment(RedOuDt(0.1), 1e200, 500.0, 0.01, [10.0],
+                                    32, GaussianStream(50)),
+         message("beta", 1e200)),
+    ]:
+        with pytest.raises(ValueError, match=want):
+            call()
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
 

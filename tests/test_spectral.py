@@ -23,7 +23,6 @@ def _series(values, dt=1.0):
 def test_periodogram_bins_and_fields():
     n, dt = 64, 0.25
     pg = periodogram(_series(GaussianStream(0).fill(n), dt))
-    assert pg.band_width == 1
     assert len(pg.omegas) == n // 2
     np.testing.assert_allclose(pg.omegas,
                                2 * np.pi * np.arange(1, 33) / (n * dt))
@@ -78,16 +77,15 @@ def test_periodogram_matches_exact_discrete_law(kind, dt):
 
 def test_band_average_examples():
     pg = AvgSpectrum(np.array([1.0, 2.0, 3.0, 4.0]),
-                     np.array([1.0, 2.0, 3.0, 4.0]), 1)
+                     np.array([1.0, 2.0, 3.0, 4.0]))
     avg = band_average(pg, 2)
     np.testing.assert_allclose(avg.powers, [1.5, 3.5])
     np.testing.assert_allclose(avg.omegas, [1.5, 3.5])
-    assert avg.band_width == 2
 
 
 def test_spectrum_rejects_negative_power():
     with pytest.raises(ValueError, match=r"nonnegative, got -0.5 at omega=2.0"):
-        AvgSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5, 2.0]), 1)
+        AvgSpectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5, 2.0]))
 
 
 def test_band_average_identity_and_counts():
@@ -126,7 +124,6 @@ def _same_bits(series, band_width):
     for got, bw in ((spectral._band_spectrum(series, band_width), band_width),
                     (periodogram(series), 1)):
         ref = band_average(oracles.periodogram_reference(series), bw)
-        assert got.band_width == ref.band_width
         assert got.omegas.tobytes() == ref.omegas.tobytes()
         assert got.powers.tobytes() == ref.powers.tobytes()
 
@@ -260,7 +257,7 @@ def test_acf_checks_mode_before_reading_the_series():
 
 def test_slope_recovers_exact_power_law():
     omegas = np.geomspace(0.1, 100.0, 64)
-    spec = AvgSpectrum(omegas, 5.0 * omegas ** -1.3, 1)
+    spec = AvgSpectrum(omegas, 5.0 * omegas ** -1.3)
     slope, intercept = loglog_slope(spec, 0.1, 100.0)
     assert slope == pytest.approx(-1.3, abs=1e-10)
     assert intercept == pytest.approx(np.log(5.0), abs=1e-10)
@@ -289,10 +286,10 @@ def test_slope_white_flat():
 
 def test_slope_preconditions():
     omegas = np.geomspace(0.1, 100.0, 64)
-    spec = AvgSpectrum(omegas, omegas ** -2.0, 1)
+    spec = AvgSpectrum(omegas, omegas ** -2.0)
     with pytest.raises(ValueError):
         loglog_slope(spec, 0.1, 0.15)          # fewer than 8 bands in window
     powers = omegas ** -2.0
     powers[30] = 0.0
     with pytest.raises(ValueError):
-        loglog_slope(AvgSpectrum(omegas, powers, 1), 0.1, 100.0)
+        loglog_slope(AvgSpectrum(omegas, powers), 0.1, 100.0)
