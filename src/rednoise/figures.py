@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White, increments,
                      theoretical_psd)
-from .series import TimeSeries, _check_n
+from .series import TimeSeries, _check_n, _check_positive
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
@@ -72,6 +72,10 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     """
     n = _check_n(n)
     band_width = _check_band_width(band_width, n // 2)
+    dt = _check_positive(dt, "dt")
+    nyquist = np.pi / dt
+    if nyquist * nyquist == np.inf:
+        raise ValueError(f"dt={dt} too small: (pi/dt)**2 overflows")
     cases = (("white", White()),
              ("red", RedOuDt(theta)),
              ("du", DiffU(theta)),
@@ -95,7 +99,7 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
         if name == "red":
             red_slope, _ = loglog_slope(avg, 1.0, 10.0)
     return SpectraResult(comparisons=tuple(comparisons), red_slope=red_slope,
-                         n=n, dt=float(dt), band_width=band_width)
+                         n=n, dt=dt, band_width=band_width)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import importlib.util
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -46,8 +46,6 @@ __all__ = [
     "fgn_increment_cov", "increments", "theoretical_psd", "parse_model",
 ]
 
-_INITS = ("stationary", "zero")
-
 # exp(-x) is subnormal (or zero) for x beyond _LOG_TINY, about 708.4.
 _LOG_TINY = -np.log(_TINY)
 
@@ -60,11 +58,6 @@ _AR1_BLOCK = 2**12
 # scipy's compiled BLAS wrappers, loaded by _fblas under this name.
 _FBLAS = "scipy.linalg._fblas"
 _FBLAS_LOCK = threading.Lock()
-
-
-def _check_init(init):
-    if init not in _INITS:
-        raise ValueError(f"init must be one of {_INITS}, got {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +74,9 @@ class RedOuDt:
     """OU process times dt: the continuous-time red-noise differential."""
 
     theta: float
-    init: str = "stationary"
 
     def __post_init__(self):
         _check_rate(self.theta, "theta")
-        _check_init(self.init)
 
 
 @dataclass(frozen=True)
@@ -93,11 +84,9 @@ class DiffU:
     """Increments of the OU process itself."""
 
     theta: float
-    init: str = "stationary"
 
     def __post_init__(self):
         _check_rate(self.theta, "theta")
-        _check_init(self.init)
 
 
 @dataclass(frozen=True)
@@ -117,11 +106,9 @@ class Ar1Driven:
     """AR(1) sequence used directly as increments; defined on the unit grid."""
 
     phi: float
-    init: str = "stationary"
 
     def __post_init__(self):
         _check_fraction(self.phi, "phi")
-        _check_init(self.init)
 
 
 @dataclass(frozen=True)
@@ -168,70 +155,64 @@ def _fblas():
         return module
 
 
-def _ar1_recursion(coeff: float, scale: float, x0: float, z: np.ndarray) -> np.ndarray:
-    """x_{k+1} = coeff * x_k + scale * z_k, returning [x0, x1, ..., x_n].
+def _ar1_recursion(coeff: float, y: np.ndarray) -> np.ndarray:
+    """Solve ``x_{k+1} = coeff x_k + y_{k+1}`` in place in ``y``; returns ``y``.
 
-    The path solves the bidiagonal system ``(I - coeff S) y = r``, with ``S``
-    the shift, ``r_0 = scale z_0 + coeff x0`` and ``r_k = scale z_k``.  The
-    scaled draws are written into ``out[1:]`` and solved there in place by
-    BLAS ``dtbsv``, in ``_AR1_BLOCK``-point blocks; each block first adds
-    ``coeff`` times the last value written to its first ``r``.
-
-    Rounding contract: the bits of scipy's ``lfilter([scale], [1, -coeff],
-    z, zi=[coeff x0])`` at every block size, without the second-long import
-    of its signal module.  ``dtbsv`` comes from :func:`_fblas`, the compiled
-    extension alone: the ``scipy.linalg`` package's import (0.3-0.4 s)
-    takes longer than the whole computation of ``fig2 --quick``.  The band
-    is stored in upper form, rows ``[-coeff, 1]``, and solved transposed
-    with a unit diagonal, so each step is ``r_k - (-coeff) y_{k-1}``: one
-    rounded product, then one rounded sum, as in ``lfilter``.  The lower,
-    non-transposed form runs through OpenBLAS's fused multiply-add kernel
-    and rounds differently.
+    ``y[0]`` is the start ``x_0`` and ``y[1:]`` the scaled innovations; they
+    are overwritten by ``x_1 .. x_n``.  BLAS ``dtbsv`` (from :func:`_fblas`,
+    without the 0.3-0.4 s ``scipy.linalg`` import) solves
+    ``(I - coeff S) x = r`` in ``_AR1_BLOCK``-point blocks, each first adding
+    ``coeff`` times the last value solved to its first ``r``; nothing is
+    allocated but the band.  Rounding contract: with ``y[1:] = scale * z``,
+    the bits of scipy's ``lfilter([scale], [1, -coeff], z, zi=[coeff x_0])``
+    at every block size.  The band is stored in upper form, rows
+    ``[-coeff, 1]``, and solved transposed with a unit diagonal, so each
+    step is ``r_k - (-coeff) x_{k-1}``: one rounded product, then one
+    rounded sum, as in ``lfilter``.  The lower, non-transposed form runs
+    through OpenBLAS's fused multiply-add kernel and rounds differently.
     """
     dtbsv = _fblas().dtbsv
-    out = np.empty(z.size + 1)
-    out[0] = x0
-    np.multiply(z, scale, out=out[1:])
-    band = np.empty((2, min(_AR1_BLOCK, z.size)), order="F")
+    band = np.empty((2, min(_AR1_BLOCK, y.size - 1)), order="F")
     band[0] = -coeff
     band[1] = 1.0
-    for a in range(1, z.size + 1, _AR1_BLOCK):
-        b = min(a + _AR1_BLOCK, z.size + 1)
-        out[a] += coeff * out[a - 1]
-        dtbsv(1, band[:, :b - a], out[a:b], trans=1, diag=1, overwrite_x=1)
-    return out
+    for a in range(1, y.size, _AR1_BLOCK):
+        b = min(a + _AR1_BLOCK, y.size)
+        y[a] += coeff * y[a - 1]
+        dtbsv(1, band[:, :b - a], y[a:b], trans=1, diag=1, overwrite_x=1)
+    return y
 
 
-def _ar1_path(coeff: float, scale: float, root: float, n: int,
-              stream: GaussianStream, init: str) -> np.ndarray:
-    """``n`` values of ``x_{k+1} = coeff x_k + scale z_k``.
+def _stationary_start(scale: float, root: float, n: int,
+                      stream: GaussianStream) -> np.ndarray:
+    """One ``fill(n)``, made ready for :func:`_ar1_recursion` in place.
 
-    ``init="stationary"`` draws ``x_0`` first, as one standard normal divided
-    by ``root``, the square root of the stationary precision; ``init="zero"``
-    starts at 0.  The ``n - 1`` innovations follow.
+    The first draw divided by ``root``, the square root of the stationary
+    precision, is ``x_0``; the other ``n - 1`` times ``scale`` are the
+    innovations of ``x_{k+1} = coeff x_k + scale z_k``.
     """
-    x0 = stream.normal() / root if init == "stationary" else 0.0
-    return _ar1_recursion(coeff, scale, x0, stream.fill(n - 1))
+    y = stream.fill(n)
+    y[0] /= root
+    y[1:] *= scale
+    return y
 
 
-def ou_exact_sample(theta: float, dt: float, n: int, stream: GaussianStream,
-                    init: str = "stationary") -> TimeSeries:
-    """Sample the OU process exactly on a grid of step ``dt``.
+def ou_exact_sample(theta: float, dt: float, n: int,
+                    stream: GaussianStream) -> TimeSeries:
+    """Sample the stationary OU process exactly on a grid of step ``dt``.
 
     The recursion ``q_{k+1} = exp(-theta dt) q_k + s z_k`` with
     ``s = sqrt((1 - exp(-2 theta dt)) / (2 theta))`` has the same
     finite-dimensional marginals as the continuous process at the grid times,
-    for any step size.  ``init="stationary"`` draws ``q_0 ~ N(0, 1/(2 theta))``
-    (one extra draw, taken first); ``init="zero"`` starts at 0.
+    for any step size.  ``q_0 ~ N(0, 1/(2 theta))`` is the first of the
+    ``n`` draws, then come the ``n - 1`` innovations.
     """
     _check_rate(theta, "theta")
-    _check_init(init)
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
     coeff = np.exp(-theta * dt)
     scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
-    return TimeSeries(dt=dt, values=_ar1_path(coeff, scale, np.sqrt(2.0 * theta),
-                                              n, stream, init))
+    y = _stationary_start(scale, np.sqrt(2.0 * theta), n, stream)
+    return TimeSeries(dt=dt, values=_ar1_recursion(coeff, y))
 
 
 def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeSeries:
@@ -362,30 +343,30 @@ def increments(model: NoiseModel, dt: float, n: int,
     Draw order per variant (all from ``stream``, in sequence):
 
     - ``White``: n draws.
-    - ``RedOuDt``/``DiffU``: the underlying OU path (initial value first if
-      stationary, then innovations).
-    - ``Mixed``: the stationary initial ``U_0`` first, then the n Brownian
+    - ``RedOuDt``/``DiffU``: the n/n+1 values of the stationary OU path,
+      ``U_0`` first, then the innovations.
+    - ``Mixed``: the stationary ``U_0`` first, then the n Brownian
       increments; U is advanced by explicit Euler with the *same* increments
       that appear in dY (the coupling is the point of this model).  Needs
       ``theta*dt < 1``, so that the Euler coefficient stays positive.
-    - ``Ar1Driven``: the AR(1) path ``eps_{k+1} = phi eps_k + z_k`` (initial
-      value first if stationary, ``eps_0 ~ N(0, 1/(1-phi^2))``, then n-1
-      innovations); only ``dt == 1`` is accepted because the continuum
-      scaling of AR(1) noise is not well defined.
+    - ``Ar1Driven``: the stationary AR(1) path ``eps_{k+1} = phi eps_k + z_k``,
+      ``eps_0 ~ N(0, 1/(1-phi^2))`` first, then n-1 innovations; only
+      ``dt == 1`` is accepted because the continuum scaling of AR(1) noise
+      is not well defined.
     - ``Fgn``: 2n draws (circulant embedding).
     """
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
 
-    # White, RedOuDt and Mixed form dY in the array they sampled, in place.
+    # Each sampler but DiffU and Fgn forms dY in the array it drew, in place.
     if isinstance(model, White):
         values = stream.fill(n)
         values *= np.sqrt(dt)
     elif isinstance(model, RedOuDt):
-        values = ou_exact_sample(model.theta, dt, n, stream, init=model.init).values
+        values = ou_exact_sample(model.theta, dt, n, stream).values
         values *= dt
     elif isinstance(model, DiffU):
-        u = ou_exact_sample(model.theta, dt, n + 1, stream, init=model.init)
+        u = ou_exact_sample(model.theta, dt, n + 1, stream)
         values = np.diff(u.values)
     elif isinstance(model, Mixed):
         if model.theta * dt >= 1.0:
@@ -394,12 +375,12 @@ def increments(model: NoiseModel, dt: float, n: int,
             raise ValueError(
                 "Mixed advances U by Euler and needs theta*dt < 1, "
                 f"got theta*dt={model.theta * dt}")
-        u0 = stream.normal() / np.sqrt(2.0 * model.theta)
-        dw = stream.fill(n)
-        dw *= np.sqrt(dt)
+        u = _stationary_start(np.sqrt(dt), np.sqrt(2.0 * model.theta), n + 1,
+                              stream)
+        dw = u[1:].copy()                # the solve overwrites them in u
         # U_{k+1} = (1 - theta dt) U_k + dW_k; dY = (gamma U_k) dt + dW_k uses
         # the pre-update U_k and is formed in U's array
-        values = _ar1_recursion(1.0 - model.theta * dt, 1.0, u0, dw)[:-1]
+        values = _ar1_recursion(1.0 - model.theta * dt, u)[:-1]
         values *= model.gamma
         values *= dt
         values += dw
@@ -408,8 +389,8 @@ def increments(model: NoiseModel, dt: float, n: int,
             raise ValueError(
                 "Ar1Driven increments are defined only on the unit grid (dt=1); "
                 f"got dt={dt}")
-        values = _ar1_path(model.phi, 1.0, np.sqrt(1.0 - model.phi * model.phi),
-                           n, stream, model.init)
+        y = _stationary_start(1.0, np.sqrt(1.0 - model.phi * model.phi), n, stream)
+        values = _ar1_recursion(model.phi, y)
     elif isinstance(model, Fgn):
         return fgn_sample(model.hurst, dt, n, stream)
     else:
@@ -457,34 +438,35 @@ _TAGS = {"white": White, "red": RedOuDt, "du": DiffU, "mixed": Mixed,
 def parse_model(text: str) -> NoiseModel:
     """Parse the flat key-value form, e.g. ``"model=red theta=0.1"``.
 
-    Recognized tags: ``white``, ``red`` (theta, optional init), ``du``
-    (theta, optional init), ``mixed`` (theta, gamma), ``ar1`` (phi, optional
-    init), ``fgn`` (hurst).
+    Recognized tags and their numeric fields: ``white``, ``red`` (theta),
+    ``du`` (theta), ``mixed`` (theta, gamma), ``ar1`` (phi), ``fgn``
+    (hurst).  A key that is not a field of the tag's model is rejected by
+    name, before any value is parsed.
     """
-    fields = {}
+    tokens = {}
     for token in text.split():
         if "=" not in token:
             raise ValueError(f"malformed model token {token!r} in {text!r}")
         key, _, value = token.partition("=")
-        if key in fields:
+        if key in tokens:
             raise ValueError(f"duplicate key {key!r} in model spec {text!r}")
-        fields[key] = value
-    tag = fields.pop("model", None)
+        tokens[key] = value
+    tag = tokens.pop("model", None)
     if tag not in _TAGS:
         raise ValueError(
             f"model spec must name one of {sorted(_TAGS)}, got {text!r}")
     cls = _TAGS[tag]
+    names = [f.name for f in fields(cls)]
     kwargs = {}
-    for key, value in fields.items():
-        if key == "init":
-            kwargs[key] = value
-        else:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ValueError(f"non-numeric value for {key!r}: {value!r}") from None
+    for key, value in tokens.items():
+        if key not in names:
+            raise ValueError(f"model {tag!r} has no field {key!r} "
+                             f"(fields: {', '.join(names) or 'none'})")
+        try:
+            kwargs[key] = float(value)
+        except ValueError:
+            raise ValueError(f"non-numeric value for {key!r}: {value!r}") from None
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ValueError(f"bad fields for model {tag!r}: {exc}") from None
-

@@ -173,7 +173,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
 
     def replica(child):
-        u = ou_exact_sample(theta, dt, n, child, init=alpha_model.init)
+        u = ou_exact_sample(theta, dt, n, child)
         dy = u.values * dt + beta * np.sqrt(dt) * child.fill(n)
         return periodogram(TimeSeries(dt=dt, values=dy))
 

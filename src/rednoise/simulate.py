@@ -8,9 +8,9 @@ The continuous counterpart is the linear SDE ``dX = -lam X dt + sigma U dt``
 driven by the OU process ``dU = -theta U dt + dW``.  The pair ``(U, X)`` is a
 linear Gaussian system, so :func:`simulate_exact` samples it exactly at any
 step, with none of the Euler bias that the explicit Euler reference in
-``tests/oracles.py`` shows over ``increments(RedOuDt(theta, init="zero"), dt,
-n, stream)``.  The two systems are linked by ``lam = -ln(psi)``,
-``theta = -ln(phi)`` and share the closed-form stationary autocovariance
+``tests/oracles.py`` shows over ``increments(RedOuDt(theta), dt, n, stream)``.
+The two systems are linked by ``lam = -ln(psi)``, ``theta = -ln(phi)`` and
+share the closed-form stationary autocovariance
 
     r(tau) = sigma^2 (lam e^{-theta|tau|} - theta e^{-lam|tau|}) / (lam - theta)
 
@@ -91,32 +91,33 @@ def _cascade(coeff_u: float, scale_u: float, coeff_x: float, x0: float,
     ``(U_k gain + c_u z_k) + c_x w_k``: the innovation of X shares ``z_k``
     with that of U.  Steps run in ``_CHUNK``-step blocks, and each block
     restarts from the last U and the last X written: this gives the bytes of
-    one pass over the whole path.
+    one pass over the whole path.  U is solved in one reused block, and each
+    block of X is formed and solved in place in the output.
     """
     n_steps = n_out - 1                  # X steps; they read U_0 .. U_{n_steps-1}
     out = np.empty(n_out)
     out[0] = x0
-    u_last = 0.0
+    u = np.zeros(min(_CHUNK, n_steps) + 1)           # U_start .. U_stop
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         if cross is None:
             # U_start .. U_stop, but no step reads U_{n_steps}, so the last
             # block draws one fewer
-            z = stream.fill(min(stop, n_steps - 1) - start)
-            u = _ar1_recursion(coeff_u, scale_u, u_last, z)
+            z = zu = stream.fill(min(stop, n_steps - 1) - start)
         else:
             z = stream.fill(2 * (stop - start))
-            u = _ar1_recursion(coeff_u, scale_u, u_last, z[0::2])
-        u_last = u[-1]
-        f = u[:stop - start]
-        f *= gain                        # in place: no second block for U gain
+            zu = z[0::2]
+        np.multiply(zu, scale_u, out=u[1:zu.size + 1])
+        _ar1_recursion(coeff_u, u[:zu.size + 1])
+        x = out[start:stop + 1]          # X_start, then this block's forcing
+        np.multiply(u[:stop - start], gain, out=x[1:])
         if cross is not None:            # the cross terms, in place on the draws
             for k, coeff in enumerate(cross):
                 z[k::2] *= coeff
-                f += z[k::2]
-        del z
-        out[start + 1:stop + 1] = _ar1_recursion(coeff_x, 1.0, out[start], f)[1:]
-        del u, f                         # free the blocks before the next draw
+                x[1:] += z[k::2]
+        _ar1_recursion(coeff_x, x)
+        u[0] = u[zu.size]
+        del z, zu                        # free the draws before the next draw
     return out
 
 

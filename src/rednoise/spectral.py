@@ -124,19 +124,24 @@ def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
         raise ValueError("periodogram needs at least 2 samples")
     band_width = _check_band_width(band_width, n // 2)
     dt = series.dt
-    spec = np.fft.rfft(values)
-    n_bands = n // 2 // band_width
-    omegas = np.empty(n_bands)
-    powers = np.empty(n_bands)
-    rows = max(1, _BAND_CHUNK // band_width)
-    for r0 in range(0, n_bands, rows):
-        r1 = min(r0 + rows, n_bands)
-        lo, hi = r0 * band_width + 1, r1 * band_width + 1     # FFT bins
-        chunk = spec[lo:hi]
-        p = (chunk.real**2 + chunk.imag**2) / (n * dt)
-        w = 2.0 * np.pi * np.arange(lo, hi) / (n * dt)
-        powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
-        omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            spec = np.fft.rfft(values)
+            n_bands = n // 2 // band_width
+            omegas = np.empty(n_bands)
+            powers = np.empty(n_bands)
+            rows = max(1, _BAND_CHUNK // band_width)
+            for r0 in range(0, n_bands, rows):
+                r1 = min(r0 + rows, n_bands)
+                lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
+                chunk = spec[lo:hi]
+                p = (chunk.real**2 + chunk.imag**2) / (n * dt)
+                w = 2.0 * np.pi * np.arange(lo, hi) / (n * dt)
+                powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
+                omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    except FloatingPointError:
+        raise ValueError("periodogram overflows: the FFT or its squared "
+                         "amplitudes exceed the float64 range") from None
     return AvgSpectrum(omegas=omegas, powers=powers)
 
 
@@ -248,12 +253,19 @@ def empirical_acf(series: TimeSeries, max_lag: int,
     if max_lag >= n / 10:
         raise ValueError(
             f"max_lag={max_lag} too large for {n} samples (must be < n/10)")
-    if np.ptp(values) == 0.0:
-        # constant input: the exact answer is all zeros, and rounding in the
-        # mean subtraction must not leave ~1e-30 dust behind
-        cov = np.zeros(max_lag + 1)
-    else:
-        cov = _lag_sums(values, max_lag) / (2.0 * n)
+    # errstate is per thread, and fig2 calls this on a worker, so it is set
+    # here rather than by the caller
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if np.ptp(values) == 0.0:
+                # constant input: the exact answer is all zeros, and rounding
+                # in the mean subtraction must not leave ~1e-30 dust behind
+                cov = np.zeros(max_lag + 1)
+            else:
+                cov = _lag_sums(values, max_lag) / (2.0 * n)
+    except FloatingPointError:
+        raise ValueError("empirical_acf overflows: the lag sums exceed the "
+                         "float64 range") from None
     if mode == "correlation":
         if cov[0] == 0.0:
             raise ValueError("zero variance: correlation undefined")

@@ -58,10 +58,6 @@ class GaussianStream:
         self.count_drawn += n
         return out
 
-    def normal(self) -> float:
-        """Return a single standard-normal draw."""
-        return float(self.fill(1)[0])
-
     def spawn(self, k: int) -> list["GaussianStream"]:
         """Derive ``k`` independent child streams.
 

@@ -17,9 +17,6 @@ class StubStream:
         self._i += n
         return out.copy()
 
-    def normal(self):
-        return float(self.fill(1)[0])
-
 
 @pytest.fixture
 def made_streams(monkeypatch):

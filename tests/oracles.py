@@ -292,8 +292,8 @@ def euler_integrate(lam: float, sigma: float, x0: float, forcing):
     ``X_{k+1} = X_k - lam X_k dt + sigma dY_k``; returns the n+1 values
     ``X_0 .. X_n`` for n forcing increments as a ``TimeSeries`` on the
     forcing grid.  ``lam = 0`` turns this into a plain cumulative sum.  Over
-    ``increments(RedOuDt(theta, init="zero"), dt, n, stream)`` it is the
-    Euler path of the restoring SDE, the reference for the Euler bias that
+    ``increments(RedOuDt(theta), dt, n, stream)`` it is the Euler path of
+    the restoring SDE, the reference for the Euler bias that
     ``rednoise.simulate_exact`` avoids.  ``lam*dt`` must stay below 2, where
     the Euler step diverges.
     """
@@ -430,7 +430,7 @@ def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,
     children = stream.spawn(replicas)
     mean_powers = None
     for child in children:
-        u = ou_exact_sample(alpha_model.theta, dt, n, child, init=alpha_model.init)
+        u = ou_exact_sample(alpha_model.theta, dt, n, child)
         dy = u.values * dt + beta * np.sqrt(dt) * child.fill(n)
         pg = periodogram(TimeSeries(dt=dt, values=dy))
         mean_powers = pg.powers if mean_powers is None \

@@ -420,11 +420,37 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
          "beta=1e+200 too large: beta**2 overflows"),
         (("fig2", "--quick", "--sigma", "1e300", "--out", str(tmp_path / "f")),
          "sigma=1e+300 too large: sigma**2 overflows"),
+        (("fig1", "--quick", "--dt", "1e-300", "--out", str(tmp_path / "f")),
+         "dt=1e-300 too small: (pi/dt)**2 overflows"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {cause}\n")
     assert not (tmp_path / "f").exists()
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, cause", [
+    (("acf", "--in", "{big}", "--dt", "1"),
+     "empirical_acf overflows: the lag sums exceed the float64 range"),
+    (("psd", "--in", "{big}", "--dt", "1"),
+     "periodogram overflows: the FFT or its squared amplitudes exceed the "
+     "float64 range"),
+    (("fig2", "--quick", "--sigma", "1e150"),
+     "empirical_acf overflows: the lag sums exceed the float64 range"),
+], ids=["acf", "psd", "fig2"])
+def test_overflowing_estimates_exit_2_naming_the_estimator(tmp_path, capsys,
+                                                           argv, cause):
+    # finite values whose squares overflow: one error line that names the
+    # estimator and no numpy warning ahead of it, also where the ACF runs
+    # on a worker thread (fig2)
+    big = tmp_path / "big.f64le"
+    (GaussianStream(3).fill(2000) * 1e160).astype("<f8").tofile(big)
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *(a.format(big=big) for a in argv),
+                         "--out", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {cause}\n")
+    assert not out_path.exists()
 
 
 def test_theorem_zero_beta_decays(capsys):

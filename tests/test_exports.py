@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -7,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import rednoise
-from rednoise import cli
+from rednoise import cli, parse_model
 
 
 def test_exported_names_resolve_once():
@@ -62,6 +63,27 @@ def test_documented_cli_lines_parse():
     section = readme[readme.index("## CLI"):readme.index("## Library tour")]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert named and sorted(named - options) == []
+
+
+def test_documented_model_specs_parse():
+    # every backticked model string of the README parses (one that wraps
+    # across lines is joined first), and every keyword of a model
+    # constructor call in the README names a field of that model, so a
+    # retired field cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    specs = [" ".join(spec.split())
+             for spec in re.findall(r"`(model=[^`]*)`", readme)]
+    assert len(specs) >= 6
+    for spec in specs:
+        parse_model(spec)
+    calls = re.findall(r"\b(White|RedOuDt|DiffU|Mixed|Ar1Driven|Fgn)\(([^()]*)\)",
+                       readme)
+    assert calls
+    for name, args in calls:
+        names = {f.name for f in dataclasses.fields(getattr(rednoise, name))}
+        keywords = set(re.findall(r"(\w+)\s*=(?!=)", args))
+        assert sorted(keywords - names) == [], f"{name}({args})"
 
 
 def test_src_imports_are_used():

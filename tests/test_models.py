@@ -26,13 +26,11 @@ from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
 @pytest.mark.parametrize("build", [
     lambda: RedOuDt(0.0),
     lambda: RedOuDt(-0.1),
-    lambda: RedOuDt(0.1, init="midway"),
     lambda: DiffU(float("nan")),
     lambda: Mixed(0.0, 0.5),
     lambda: Mixed(0.1, float("inf")),
     lambda: Ar1Driven(0.0),
     lambda: Ar1Driven(1.0),
-    lambda: Ar1Driven(0.5, init="x"),
     lambda: Fgn(0.0),
     lambda: Fgn(1.0),
 ])
@@ -143,8 +141,9 @@ def test_spectra_run_rejects_band_wider_than_spectrum_before_any_draw(
 # ---------------------------------------------------------------------------
 
 def test_ar1_hand_recursion():
-    out = increments(Ar1Driven(0.9, init="zero"), 1.0, 3, StubStream([1.0, -0.5]))
-    np.testing.assert_allclose(out.values, [0.0, 1.0, 0.4], rtol=1e-15)
+    # eps_0 is the first draw times the stationary sd 1/sqrt(1 - 0.81)
+    out = increments(Ar1Driven(0.9), 1.0, 3, StubStream([0.19**0.5, 1.0, -0.5]))
+    np.testing.assert_allclose(out.values, [1.0, 1.9, 1.21], rtol=1e-15)
     assert out.dt == 1.0
 
 
@@ -153,7 +152,10 @@ def test_ar1_recursion_gives_lfilter_bytes(monkeypatch, block):
     # the blocked banded solve rounds as lfilter does, at every block size
     # and on both sides of each block edge; negative coefficients are Euler
     # steps at lam*dt in (1, 2).  A BLAS kernel that fuses the multiply and
-    # add, or reorders the sum, fails here.
+    # add, or reorders the sum, fails here.  The solve runs in place, in a
+    # whole array and in a view at an offset into a larger one, as the
+    # restoring cascade solves out[start:stop + 1]; the values around the
+    # view are left as they were.
     monkeypatch.setattr(models, "_AR1_BLOCK", block)
     stream = GaussianStream(11)
     for coeff in (0.0, 0.3, np.exp(-0.01), np.exp(-1e-4), 1.0 - 1e-7, 1.0,
@@ -162,25 +164,26 @@ def test_ar1_recursion_gives_lfilter_bytes(monkeypatch, block):
             for n in (0, 1, block - 1, block, block + 1, 3 * block + 5):
                 z = stream.fill(n)
                 for scale in (1.0, 0.37):
-                    got = models._ar1_recursion(coeff, scale, x0, z)
                     want = oracles._ar1_whole(coeff, scale, x0, z)
-                    assert got.tobytes() == want.tobytes(), (coeff, x0, n, scale)
+                    whole = np.empty(n + 1)
+                    host = np.full(n + 8, 5.0)
+                    for y in (whole, host[3:n + 4]):
+                        y[0] = x0
+                        np.multiply(z, scale, out=y[1:])
+                        assert models._ar1_recursion(coeff, y) is y
+                        assert y.tobytes() == want.tobytes(), (coeff, x0, n, scale)
+                    assert (host[:3] == 5.0).all() and (host[n + 4:] == 5.0).all()
 
 
 def test_ou_one_step_coefficients():
     # one deterministic step exposes the recursion coefficient and noise scale
-    out = ou_exact_sample(0.1, 0.1, 2, StubStream([2.0, 1.0]), init="stationary")
+    out = ou_exact_sample(0.1, 0.1, 2, StubStream([2.0, 1.0]))
     coeff = np.exp(-0.01)
     scale = np.sqrt(-np.expm1(-0.02) / 0.2)
     q0 = 2.0 / np.sqrt(0.2)
     np.testing.assert_allclose(out.values, [q0, coeff * q0 + scale], rtol=1e-14)
     assert abs(coeff - 0.990050) < 5e-7
     assert abs(scale - 0.314655) < 1e-2 * 0.314655
-
-
-def test_ou_zero_init_single_sample():
-    out = ou_exact_sample(0.1, 0.1, 1, StubStream([]), init="zero")
-    np.testing.assert_array_equal(out.values, [0.0])
 
 
 def test_ar1_autocov_values():
@@ -409,38 +412,46 @@ def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
 # documented draw counts (the reproducibility contract)
 # ---------------------------------------------------------------------------
 
-# every model and init with its documented draws for n increments
+# every model with its documented draws for n increments
 _PROTOCOL = [
     (White(), lambda n: n),
-    (RedOuDt(0.1), lambda n: n),                     # 1 init + n-1 steps
-    (RedOuDt(0.1, init="zero"), lambda n: n - 1),
+    (RedOuDt(0.1), lambda n: n),                     # U_0 + n-1 steps
+    None,
     (DiffU(0.1), lambda n: n + 1),                   # n+1 OU values
-    (DiffU(0.1, init="zero"), lambda n: n),
+    None,
     (Mixed(0.1, 0.5), lambda n: n + 1),              # U0 + n shared dW
     (Ar1Driven(0.9), lambda n: n),
-    (Ar1Driven(0.9, init="zero"), lambda n: n - 1),
+    None,
     (Fgn(0.7), lambda n: 2 * n),                     # circulant embedding
 ]
 # the shortest lengths, and one past a block of the AR(1) solve and of the
 # fGn workspace
 _EDGES = (1, 2, models._AR1_BLOCK + 1, models._FGN_BLOCK + 1)
-
-
-@pytest.mark.parametrize("model,n,expect", [
+# Each case is named by its row number.  The None rows are retired start
+# protocols: they keep the numbers, and so the names, of the rows after them.
+_DRAW_ROWS = [
     (White(), 50, 50),
-    (RedOuDt(0.1), 50, 50),                          # 1 init + 49 steps
-    (RedOuDt(0.1, init="zero"), 50, 49),
+    (RedOuDt(0.1), 50, 50),                          # U_0 + 49 steps
+    None,
     (DiffU(0.1), 50, 51),                            # n+1 OU values
     (Mixed(0.1, 0.5), 50, 51),                       # U0 + n shared dW
     (Ar1Driven(0.9), 50, 50),
-    (Ar1Driven(0.9, init="zero"), 50, 49),
+    None,
     (Fgn(0.7), 50, 100),                             # circulant embedding
     (Fgn(0.7), 1, 2),
-] + [(model, n, draws(n)) for model, draws in _PROTOCOL for n in _EDGES])
+] + [row and (row[0], n, row[1](n)) for row in _PROTOCOL for n in _EDGES]
+
+
+@pytest.mark.parametrize("model,n,expect", [
+    pytest.param(*row, id=f"model{i}-{row[1]}-{row[2]}")
+    for i, row in enumerate(_DRAW_ROWS) if row])
 def test_draw_counts(model, n, expect):
+    # each sampler takes exactly its documented draws, in one contiguous
+    # run: the stream's next draw is draw number expect + 1
     stream = GaussianStream(11)
     increments(model, 1.0, n, stream)
     assert stream.count_drawn == expect
+    assert stream.fill(1)[0] == GaussianStream(11).fill(expect + 1)[-1]
 
 
 def test_mixed_shares_its_brownian_stream():
@@ -448,14 +459,45 @@ def test_mixed_shares_its_brownian_stream():
     # the same dW appearing in both the U update and the output
     theta, gamma, dt, n = 0.2, 0.7, 0.05, 1000
     incr = increments(Mixed(theta, gamma), dt, n, GaussianStream(12))
-    stream = GaussianStream(12)
-    u = stream.normal() / np.sqrt(2 * theta)
-    dw = np.sqrt(dt) * stream.fill(n)
+    z = GaussianStream(12).fill(n + 1)
+    u = z[0] / np.sqrt(2 * theta)
+    dw = np.sqrt(dt) * z[1:]
     out = np.empty(n)
     for k in range(n):
         out[k] = gamma * u * dt + dw[k]
         u = u - theta * u * dt + dw[k]
     np.testing.assert_allclose(incr.values, out, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda n, s: ou_exact_sample(0.1, 0.1, n, s),
+    lambda n, s: increments(RedOuDt(0.1), 0.1, n, s),
+    lambda n, s: increments(Ar1Driven(0.9), 1.0, n, s),
+], ids=["ou_exact_sample", "red", "ar1"])
+def test_ar1_paths_hold_one_array(sample):
+    # the draws are scaled and solved in the array they were drawn into:
+    # besides the output, only the 64 KB band and the finiteness check's
+    # n-byte mask are allocated
+    n = 2**20
+    stream = GaussianStream(13)
+    tracemalloc.start()
+    try:
+        out = sample(n, stream).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
+
+
+def test_ar1_recursion_allocates_only_its_band():
+    y = GaussianStream(14).fill(2**20)
+    tracemalloc.start()
+    try:
+        assert models._ar1_recursion(0.9, y) is y
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * y.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +565,10 @@ def test_ar1_psd_low_frequency_matches_sampled_form():
 
 _MODELS = st.one_of(
     st.just(White()),
-    st.builds(RedOuDt, st.floats(1e-3, 10.0), st.sampled_from(["stationary", "zero"])),
-    st.builds(DiffU, st.floats(1e-3, 10.0), st.sampled_from(["stationary", "zero"])),
+    st.builds(RedOuDt, st.floats(1e-3, 10.0)),
+    st.builds(DiffU, st.floats(1e-3, 10.0)),
     st.builds(Mixed, st.floats(1e-3, 10.0), st.floats(-5.0, 5.0)),
-    st.builds(Ar1Driven, st.floats(1e-3, 1.0, exclude_max=True),
-              st.sampled_from(["stationary", "zero"])),
+    st.builds(Ar1Driven, st.floats(1e-3, 1.0, exclude_max=True)),
     st.builds(Fgn, st.floats(1e-3, 1.0, exclude_max=True)),
 )
 
@@ -542,13 +583,25 @@ def test_parse_model_examples():
     assert parse_model("model=red theta=0.1") == RedOuDt(0.1)
     assert parse_model("model=mixed theta=0.1 gamma=0.5") == Mixed(0.1, 0.5)
     assert parse_model("model=fgn hurst=0.7") == Fgn(0.7)
-    assert parse_model("model=ar1 phi=0.9 init=zero") == Ar1Driven(0.9, "zero")
+    assert parse_model("model=ar1 phi=0.9") == Ar1Driven(0.9)
+    # a key that is no field of the model is named as such, before its value
+    # is read
+    for text, want in [
+        ("model=red theta=0.1 init=zero",
+         "model 'red' has no field 'init' (fields: theta)"),
+        ("model=mixed theta=0.1 theta2=1",
+         "model 'mixed' has no field 'theta2' (fields: theta, gamma)"),
+        ("model=white theta=x", "model 'white' has no field 'theta' (fields: none)"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            parse_model(text)
 
 
 @pytest.mark.parametrize("text", [
     "", "theta=0.1", "model=purple", "model=red", "model=red theta=x",
     "model=red theta=0.1 theta=0.2", "model=white theta=0.1",
     "model=red theta 0.1", "model=fgn hurst=1.5",
+    "model=red theta=0.1 init=zero", "model=red theta=0.1 theta2=1",
 ])
 def test_parse_model_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -241,6 +241,24 @@ def test_acf_lag_budget():
         empirical_acf(series, 10, mode="median")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e306])
+def test_overflowing_sums_raise_naming_the_estimator(scale):
+    # finite input whose squares (at 1e300 also its range, at 1e306 its FFT)
+    # overflow: one ValueError that names the estimator, no numpy warning,
+    # and the caller's floating-point error state left as it was
+    series = _series(GaussianStream(10).fill(4000) * scale)
+    before = np.geterr()
+    for mode in ("covariance", "correlation"):
+        with pytest.raises(ValueError, match="^empirical_acf overflows: "):
+            empirical_acf(series, 10, mode=mode)
+    with pytest.raises(ValueError, match="^periodogram overflows: "):
+        periodogram(series)
+    with pytest.raises(ValueError, match="^periodogram overflows: "):
+        spectral._band_spectrum(series, 7)
+    assert np.geterr() == before
+
+
 def test_acf_checks_mode_before_reading_the_series():
     # a bad mode is rejected up front, not after max_lag + 1 full passes
     class Unread:

@@ -29,7 +29,7 @@ def test_split_fill_equals_single_fill():
 def test_count_drawn_tracks_usage():
     s = GaussianStream(0)
     s.fill(10)
-    s.normal()
+    s.fill(1)
     s.fill(0)
     assert s.count_drawn == 11
 

@@ -154,6 +154,12 @@ from rednoise import GaussianStream, models
 
 jobs = [(0.9, 1.0, 0.5, GaussianStream(1).fill(5000)),
         (np.exp(-0.01), 0.37, -1.0, GaussianStream(2).fill(5000))]
+starts = []
+for coeff, scale, x0, z in jobs:
+    y = np.empty(z.size + 1)
+    y[0] = x0
+    np.multiply(z, scale, out=y[1:])
+    starts.append((coeff, y))
 sys.setswitchinterval(1e-6)
 loads = []
 create = importlib.machinery.ExtensionFileLoader.create_module
@@ -168,7 +174,7 @@ start = threading.Barrier(2, timeout=60)
 
 def first_use(i):
     start.wait()
-    paths[i] = models._ar1_recursion(*jobs[i])
+    paths[i] = models._ar1_recursion(*starts[i])
 
 threads = [threading.Thread(target=first_use, args=(i,)) for i in range(2)]
 for t in threads:
