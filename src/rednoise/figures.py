@@ -10,7 +10,7 @@ closed form.  Both are pure functions of their parameters and the seed.
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +21,18 @@ from .series import TimeSeries, _check_n, _check_positive
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
-from .spectral import (AvgSpectrum, _band_spectrum, _check_band_width,
-                       empirical_acf, loglog_slope)
+from .spectral import (AvgSpectrum, _band_omegas, _band_powers,
+                       _check_band_width, empirical_acf, loglog_slope)
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",
            "RestoringResult", "spectra_run", "restoring_run"]
+
+# spectra_run fits the red spectrum's log-log slope over these frequencies.
+_SLOPE_WINDOW = (1.0, 10.0)
+# One band spectrum at a time: its FFT holds the largest working set of a
+# spectra_run, so two at once would double the peak.
+_SPECTRUM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,12 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     the estimator's error.  Also fits the log-log slope of the red
     spectrum over ``omega`` in [1, 10] (closed form: -2 in that range for
     small theta).
+
+    The models run on two threads: one samples while another's spectrum is
+    formed, and a lock lets one band spectrum (the FFT's stage, the largest)
+    run at a time.  Results come back in model order, with the bits of a
+    serial run.  A slope window holding fewer than 8 band centres is
+    rejected before any draw.
     """
     n = _check_n(n)
     band_width = _check_band_width(band_width, n // 2)
@@ -76,29 +88,41 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     nyquist = np.pi / dt
     if nyquist * nyquist == np.inf:
         raise ValueError(f"dt={dt} too small: (pi/dt)**2 overflows")
+    omegas = _band_omegas(n, dt, band_width)
+    w_lo, w_hi = _SLOPE_WINDOW
+    in_window = np.count_nonzero((omegas >= w_lo) & (omegas <= w_hi))
+    if in_window < 8:
+        raise ValueError(
+            f"dt={dt} puts only {in_window} band centres in the slope window "
+            f"[{w_lo}, {w_hi}] (n={n}, band_width={band_width}); need at "
+            "least 8")
+    lo = omegas[3]
+    hi = 0.5 * np.pi / dt
+    sel = (omegas >= lo) & (omegas <= hi)
     cases = (("white", White()),
              ("red", RedOuDt(theta)),
              ("du", DiffU(theta)),
              ("mixed", Mixed(theta, gamma)))
-    stream = GaussianStream(seed)
-    comparisons = []
-    red_slope = math.nan
-    for (name, model), child in zip(cases, stream.spawn(len(cases))):
+
+    def compare(job):
+        (name, model), child = job
         incr = increments(model, dt, n, child)
-        avg = _band_spectrum(incr, band_width)
+        with _SPECTRUM_LOCK:
+            powers = _band_powers(incr.values, dt, band_width)
         del incr
-        theory = np.asarray(theoretical_psd(model, avg.omegas))
-        lo = avg.omegas[3]
-        hi = 0.5 * np.pi / dt
-        sel = (avg.omegas >= lo) & (avg.omegas <= hi)
-        rel = np.abs(avg.powers[sel] / theory[sel] - 1.0)
-        comparisons.append(SpectrumComparison(
+        avg = AvgSpectrum(omegas=omegas, powers=powers)
+        theory = np.asarray(theoretical_psd(model, omegas))
+        rel = np.abs(powers[sel] / theory[sel] - 1.0)
+        return SpectrumComparison(
             name=name, model=model, spectrum=avg, theory=theory,
             omega_lo=float(lo), omega_hi=float(hi),
-            max_rel_dev=float(rel.max())))
-        if name == "red":
-            red_slope, _ = loglog_slope(avg, 1.0, 10.0)
-    return SpectraResult(comparisons=tuple(comparisons), red_slope=red_slope,
+            max_rel_dev=float(rel.max()))
+
+    comparisons = tuple(_map_substreams(
+        compare, zip(cases, GaussianStream(seed).spawn(len(cases))),
+        in_flight=2))
+    red_slope, _ = loglog_slope(comparisons[1].spectrum, w_lo, w_hi)
+    return SpectraResult(comparisons=comparisons, red_slope=red_slope,
                          n=n, dt=dt, band_width=band_width)
 
 

@@ -26,18 +26,15 @@ sampler is reproducible from its seed.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
-import threading
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
+from ._scipy import extension
 from .series import (_TINY, TimeSeries, _check_finite, _check_fraction, _check_n,
                      _check_positive, _check_rate, _check_square)
+from .spectral import _halfcomplex
 from .streams import GaussianStream
 
 __all__ = [
@@ -49,15 +46,12 @@ __all__ = [
 # exp(-x) is subnormal (or zero) for x beyond _LOG_TINY, about 708.4.
 _LOG_TINY = -np.log(_TINY)
 
-# Points per block when fgn_sample fills its workspace.
-_FGN_BLOCK = 2**16
+# Points per block when fgn_sample fills its workspace, and when DiffU and
+# Mixed form their increments in place.
+_BLOCK = 2**16
 # Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
 # doubles (64 KB).
 _AR1_BLOCK = 2**12
-
-# scipy's compiled BLAS wrappers, loaded by _fblas under this name.
-_FBLAS = "scipy.linalg._fblas"
-_FBLAS_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +123,10 @@ NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
 # ---------------------------------------------------------------------------
 
 def _fblas():
-    """scipy's ``_fblas`` extension, loaded once without ``scipy.linalg``.
-
-    ``import scipy.linalg.blas`` runs the ``scipy.linalg`` package
-    ``__init__`` (array-API and f2py machinery, 0.3-0.4 s); the extension
-    alone loads in about 5 ms.  It is taken from the installed scipy's
-    ``linalg`` directory, found without importing scipy, and registered under
-    its real name, so a later ``import scipy.linalg`` reuses it and
-    ``scipy.linalg.blas.dtbsv`` is the same routine.  The lock makes the
-    first recursions of two threads load it once.
-    """
-    with _FBLAS_LOCK:
-        module = sys.modules.get(_FBLAS)
-        if module is None:
-            scipy = importlib.util.find_spec("scipy")
-            dirs = [os.path.join(d, "linalg")
-                    for d in (scipy.submodule_search_locations if scipy else ())]
-            found = importlib.machinery.PathFinder.find_spec("_fblas", dirs)
-            if found is None:
-                raise RuntimeError(f"scipy's BLAS extension _fblas not found in {dirs}")
-            spec = importlib.util.spec_from_file_location(_FBLAS, found.origin)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_FBLAS] = module
-        return module
+    """scipy's ``_fblas`` extension, loaded once without ``scipy.linalg``
+    (about 5 ms instead of 0.3-0.4 s), so ``scipy.linalg.blas.dtbsv`` is the
+    same routine."""
+    return extension("linalg", "_fblas", "BLAS")
 
 
 def _ar1_recursion(coeff: float, y: np.ndarray) -> np.ndarray:
@@ -224,45 +198,49 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
     embedding of this covariance is nonnegative definite for every n and H
     (Dietrich & Newsam 1997; Craigmile 2003), so every ``n >= 1`` takes
     exactly ``2n`` draws; a negative eigenvalue beyond rounding raises
-    ``RuntimeError``.  Working memory: the 2n-point real first row (filled
-    in ``_FGN_BLOCK``-point blocks), its n+1 ``rfft`` bins, which hold in
-    turn the eigenvalues and the half spectrum, the 2n-point ``irfft`` and
-    numpy's FFT scratch.  The bytes equal those of building each whole,
-    which is not done to save memory: a whole row, draw array and half
-    spectrum raised the peak RSS of a 2e6-point ``generate`` from 160.4 to
-    188.5 MB (median of 5 alternating runs; Python 3.11, numpy 2.4).
+    ``RuntimeError``.  Working memory is one array of 2n values, transformed
+    in place (:func:`~rednoise.spectral._halfcomplex`): it holds the first
+    row (filled in ``_BLOCK``-point blocks), then its n+1 real eigenvalues
+    in the halfcomplex real slots, then the half spectrum written over them
+    block by block, then the real sample.  The bits are those of numpy's
+    ``rfft`` and ``irfft`` of whole arrays.  The result is a copy of the
+    first n values, so the caller holds n values, not the 2n-point
+    workspace; the copy is made after pocketfft's scratch is freed and stays
+    below the transform's peak.
     """
     _check_fraction(hurst, "hurst")
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
     m2 = 2 * n
-    row = np.empty(m2)            # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
-    for a in range(0, n + 1, _FGN_BLOCK):
-        b = min(a + _FGN_BLOCK, n + 1)
+    y = np.empty(m2)              # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
+    for a in range(0, n + 1, _BLOCK):
+        b = min(a + _BLOCK, n + 1)
         gamma = fgn_increment_cov(hurst, 1.0, np.arange(a, b))
-        row[a:b] = gamma
+        y[a:b] = gamma
         lo, hi = max(a, 1), min(b, n)
         if lo < hi:
-            row[m2 - hi + 1:m2 - lo + 1] = gamma[lo - a:hi - a][::-1]
-    w = np.fft.rfft(row)
-    del row
-    eigs = w.real
-    if eigs.min() < -1e-9 * eigs.max():
+            y[m2 - hi + 1:m2 - lo + 1] = gamma[lo - a:hi - a][::-1]
+    # eigenvalue j is bin j's real part: y[0] (j = 0), y[2j - 1] (0 < j <= n)
+    _halfcomplex(y, True)
+    lowest = min(y[0], y[1::2].min())
+    if lowest < -1e-9 * max(y[0], y[1::2].max()):
         raise RuntimeError(
             f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
 
     # Half spectrum from the draws of one fill(m2): z_0 scales bin 0, z_1
     # bin n, and (z_2j, z_2j+1) bin j.  Each eigenvalue is read before its
-    # bin is overwritten.
-    w[[0, n]] = np.sqrt(np.clip(eigs[[0, n]], 0.0, None) / m2) * stream.fill(2)
-    for a in range(1, n, _FGN_BLOCK):
-        b = min(a + _FGN_BLOCK, n)
-        half = np.sqrt(np.clip(eigs[a:b], 0.0, None) / (2.0 * m2))
+    # slots are overwritten.
+    ends = [0, m2 - 1]
+    y[ends] = np.sqrt(np.clip(y[ends], 0.0, None) / m2) * stream.fill(2)
+    for a in range(1, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        re, im = slice(2 * a - 1, 2 * b - 1, 2), slice(2 * a, 2 * b, 2)
+        half = np.sqrt(np.clip(y[re], 0.0, None) / (2.0 * m2))
         z = stream.fill(2 * (b - a))
-        w[a:b] = half * (z[::2] + 1j * z[1::2])
-    full = np.fft.irfft(w, m2, norm="forward")    # the bins carry the 1/m2
-    del w
-    return TimeSeries(dt=dt, values=full[:n] * dt**hurst)
+        y[re] = half * z[::2]
+        y[im] = half * z[1::2]
+    _halfcomplex(y, False)        # the bins carry the 1/m2
+    return TimeSeries(dt=dt, values=y[:n] * dt**hurst)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +336,7 @@ def increments(model: NoiseModel, dt: float, n: int,
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
 
-    # Each sampler but DiffU and Fgn forms dY in the array it drew, in place.
+    # Each sampler but Fgn forms dY in the array it drew, in place.
     if isinstance(model, White):
         values = stream.fill(n)
         values *= np.sqrt(dt)
@@ -366,8 +344,12 @@ def increments(model: NoiseModel, dt: float, n: int,
         values = ou_exact_sample(model.theta, dt, n, stream).values
         values *= dt
     elif isinstance(model, DiffU):
-        u = ou_exact_sample(model.theta, dt, n + 1, stream)
-        values = np.diff(u.values)
+        u = ou_exact_sample(model.theta, dt, n + 1, stream).values
+        # dY_k = U_{k+1} - U_k, formed front to back in U's array
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            np.subtract(u[a + 1:b + 1], u[a:b], out=u[a:b])
+        values = u[:n]
     elif isinstance(model, Mixed):
         if model.theta * dt >= 1.0:
             # the Euler coefficient 1 - theta*dt would be <= 0: U alternates
@@ -377,13 +359,17 @@ def increments(model: NoiseModel, dt: float, n: int,
                 f"got theta*dt={model.theta * dt}")
         u = _stationary_start(np.sqrt(dt), np.sqrt(2.0 * model.theta), n + 1,
                               stream)
-        dw = u[1:].copy()                # the solve overwrites them in u
-        # U_{k+1} = (1 - theta dt) U_k + dW_k; dY = (gamma U_k) dt + dW_k uses
-        # the pre-update U_k and is formed in U's array
-        values = _ar1_recursion(1.0 - model.theta * dt, u)[:-1]
-        values *= model.gamma
-        values *= dt
-        values += dw
+        # U_{k+1} = (1 - theta dt) U_k + dW_k; dY_k = (gamma U_k) dt + dW_k
+        # uses the pre-update U_k and is formed in U's array, a block at a
+        # time: solve U up to the block's end, then overwrite the block
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            dw = u[a + 1:b + 1].copy()          # the solve overwrites them
+            block = _ar1_recursion(1.0 - model.theta * dt, u[a:b + 1])[:-1]
+            block *= model.gamma
+            block *= dt
+            block += dw
+        values = u[:n]
     elif isinstance(model, Ar1Driven):
         if dt != 1.0:
             raise ValueError(

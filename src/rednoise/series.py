@@ -24,13 +24,24 @@ __all__ = [
 ]
 
 
+# Points per block in _all_finite (a 64 KB mask).
+_FINITE_BLOCK = 2**16
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a 1-D array is finite, tested a block at a
+    time, so that no full-length mask is built."""
+    return all(np.isfinite(values[a:a + _FINITE_BLOCK]).all()
+               for a in range(0, values.size, _FINITE_BLOCK))
+
+
 def _check_values(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
     if values.size < 1:
         raise ValueError("values must contain at least one sample")
-    if not np.isfinite(values).all():
+    if not _all_finite(values):
         raise ValueError("values must be finite")
     return values
 

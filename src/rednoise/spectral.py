@@ -6,6 +6,13 @@ the flat unit density that plays the role of the white-noise reference:
 ``P(omega_j) = |FFT(dY)_j|^2 / (n dt)`` at ``omega_j = 2 pi j / (n dt)``,
 ``j = 1 .. n//2`` (the zero frequency is dropped).  No taper is applied;
 variance reduction comes from band averaging.
+
+The real FFT is pocketfft's, run in place through scipy's compiled
+``pypocketfft`` extension alone (loaded at the first FFT in about 1 ms,
+without the ``scipy.fft`` package).  numpy vendors the same kernel, so
+every bin has the bits of ``np.fft.rfft``, while one full-length array
+fewer is held.  It releases the interpreter lock, so ``fig1`` samples one
+model while another's spectrum is formed.
 """
 
 from __future__ import annotations
@@ -15,12 +22,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .series import TimeSeries, _check_n, _check_values
+from ._scipy import extension
+from .series import TimeSeries, _all_finite, _check_n, _check_values
 
 __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
            "band_average", "empirical_acf", "loglog_slope"]
 
-# Periodogram bins per chunk in _band_spectrum (rounded down to whole bands).
+# Periodogram bins per chunk in _band_omegas and _band_powers (rounded down
+# to whole bands).
 _BAND_CHUNK = 1 << 16
 
 # Largest leaf of empirical_acf's summation tree, in points; each leaf is
@@ -79,9 +88,9 @@ def periodogram(series: TimeSeries) -> AvgSpectrum:
     increments.  Uses the real FFT; returns ``n // 2`` points at
     ``omega_j = 2 pi j / (n dt)`` for ``j = 1 .. n//2`` (any length is
     accepted, not just powers of two), as a spectrum of band width 1.
-    Requires at least 2 samples.
+    Requires at least 2 samples.  The FFT runs on a copy of the values.
     """
-    return _band_spectrum(series, 1)
+    return _band_spectrum(TimeSeries(series.dt, series.values.copy()), 1)
 
 
 def _check_band_width(band_width, bins: int) -> int:
@@ -107,42 +116,89 @@ def band_average(pg: AvgSpectrum, band_width: int) -> AvgSpectrum:
     return AvgSpectrum(omegas=omegas, powers=powers)
 
 
+def _halfcomplex(y: np.ndarray, forward: bool) -> np.ndarray:
+    """Real FFT of ``y`` in place, in FFTPACK's halfcomplex order; returns ``y``.
+
+    Forward, bin j of ``np.fft.rfft(y)`` becomes ``y[0]`` (j = 0, real),
+    ``y[2j-1] + 1j*y[2j]`` (0 < j < n/2) and, for even n, ``y[n-1]`` (the
+    real Nyquist bin).  Backward, that layout becomes the real sequence of
+    ``np.fft.irfft(..., n, norm="forward")``, without the 1/n.  Both run
+    pocketfft's real kernel, which numpy vendors too, so the bits are
+    numpy's.  The transform holds no output array of its own, only
+    pocketfft's scratch and its plan, which pocketfft keeps cached after
+    the call, and it releases the interpreter lock.  pocketfft is not a
+    numpy ufunc: ``np.errstate`` does not see an overflow inside it.
+    """
+    extension("fft._pocketfft", "pypocketfft", "FFT").r2r_fftpack(
+        y, (0,), forward, forward, 0, y, 1)
+    return y
+
+
+def _band_omegas(n: int, dt: float, band_width: int) -> np.ndarray:
+    """Mean frequency of each whole band of ``band_width`` periodogram bins
+    of an ``n``-point series, formed a chunk of bands at a time."""
+    n_bands = n // 2 // band_width
+    omegas = np.empty(n_bands)
+    rows = max(1, _BAND_CHUNK // band_width)
+    for r0 in range(0, n_bands, rows):
+        r1 = min(r0 + rows, n_bands)
+        w = 2.0 * np.pi * np.arange(r0 * band_width + 1,
+                                    r1 * band_width + 1) / (n * dt)
+        omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    return omegas
+
+
+def _band_powers(y: np.ndarray, dt: float, band_width: int) -> np.ndarray:
+    """Mean periodogram power of each whole band; transforms ``y`` in place.
+
+    The powers of a chunk of whole bands are formed from the halfcomplex
+    bins at a time, so beside ``y`` only the FFT's scratch and one chunk
+    are held.
+    """
+    n = y.size
+    overflow = ValueError("periodogram overflows: the FFT or its squared "
+                          "amplitudes exceed the float64 range")
+    # errstate does not see inside pocketfft: an overflow there shows as a
+    # nonfinite bin
+    if not _all_finite(_halfcomplex(y, True)):
+        raise overflow
+    n_bands = n // 2 // band_width
+    powers = np.empty(n_bands)
+    rows = max(1, _BAND_CHUNK // band_width)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for r0 in range(0, n_bands, rows):
+                r1 = min(r0 + rows, n_bands)
+                lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
+                # bin j is y[2j-1] + 1j*y[2j]; an even n's last bin is real
+                p = y[2 * lo - 1:2 * hi - 1:2] ** 2
+                im = y[2 * lo:2 * hi:2]
+                p[:im.size] += im**2
+                p /= n * dt
+                powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
+    except FloatingPointError:
+        raise overflow from None
+    return powers
+
+
 def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
     """Periodogram averaged over disjoint bands of ``band_width`` bins.
 
     ``band_average(periodogram(series), band_width)`` without the
-    full-length periodogram: takes one real FFT, then forms powers,
-    frequencies and band means a chunk of whole bands at a time.  Each band
-    is the same row mean over the same values as in :func:`band_average`,
-    hence the same bits.  It streams to save memory, not time: built whole,
-    with the same bytes, the peak RSS of ``fig1 --n 8000000`` rose from
-    292.6 to 314.8 MB (median of 5 alternating runs; Python 3.11, numpy 2.4).
+    full-length periodogram, and with the FFT taken in place in
+    ``series.values``, which it overwrites.  Each band is the same row mean
+    over the same values as in :func:`band_average`, hence the same bits.
+    It streams to save memory, not time: built whole, with the same bytes,
+    the peak RSS of ``fig1 --n 8000000`` rose from 292.6 to 314.8 MB
+    (median of 5 alternating runs; Python 3.11, numpy 2.4).
     """
     values = series.values
     n = values.size
     if n < 2:
         raise ValueError("periodogram needs at least 2 samples")
     band_width = _check_band_width(band_width, n // 2)
-    dt = series.dt
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            spec = np.fft.rfft(values)
-            n_bands = n // 2 // band_width
-            omegas = np.empty(n_bands)
-            powers = np.empty(n_bands)
-            rows = max(1, _BAND_CHUNK // band_width)
-            for r0 in range(0, n_bands, rows):
-                r1 = min(r0 + rows, n_bands)
-                lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
-                chunk = spec[lo:hi]
-                p = (chunk.real**2 + chunk.imag**2) / (n * dt)
-                w = 2.0 * np.pi * np.arange(lo, hi) / (n * dt)
-                powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
-                omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
-    except FloatingPointError:
-        raise ValueError("periodogram overflows: the FFT or its squared "
-                         "amplitudes exceed the float64 range") from None
-    return AvgSpectrum(omegas=omegas, powers=powers)
+    return AvgSpectrum(omegas=_band_omegas(n, series.dt, band_width),
+                       powers=_band_powers(values, series.dt, band_width))
 
 
 def _split(k: int) -> int:

@@ -226,6 +226,28 @@ def fgn_sample_reference(hurst: float, dt: float, n: int, stream) -> np.ndarray:
     return values * dt**hurst
 
 
+def diffu_increments_reference(theta: float, dt: float, n: int, stream):
+    """``increments(DiffU(theta), ...)`` values as ``np.diff`` of the whole
+    n + 1 point OU path: a second full-length array."""
+    from rednoise import ou_exact_sample
+    return np.diff(ou_exact_sample(theta, dt, n + 1, stream).values)
+
+
+def mixed_increments_reference(theta: float, gamma: float, dt: float, n: int,
+                               stream):
+    """``increments(Mixed(theta, gamma), ...)`` values with a full-length
+    copy of the n Brownian increments beside U's path, which is solved
+    whole before dY is formed in its array."""
+    from rednoise.models import _ar1_recursion, _stationary_start
+    u = _stationary_start(np.sqrt(dt), np.sqrt(2.0 * theta), n + 1, stream)
+    dw = u[1:].copy()
+    values = _ar1_recursion(1.0 - theta * dt, u)[:-1]
+    values *= gamma
+    values *= dt
+    values += dw
+    return values
+
+
 def stationary_autocorr_scalar(lam: float, theta: float, tau: float) -> float:
     """Per-lag form of ``rednoise.stationary_autocorr``.
 
@@ -359,6 +381,34 @@ def periodogram_reference(series):
     return AvgSpectrum(omegas=omegas, powers=powers)
 
 
+def band_spectrum_rfft(series, band_width: int):
+    """``rednoise.spectral._band_spectrum`` as it was written on
+    ``np.fft.rfft``: one out-of-place real FFT of the values, which are left
+    untouched, then powers, frequencies and band means a chunk of whole
+    bands at a time.  The package's in-place halfcomplex transform must give
+    its bytes."""
+    from rednoise import AvgSpectrum
+    from rednoise.spectral import _BAND_CHUNK
+    values = series.values
+    n = values.size
+    dt = series.dt
+    with np.errstate(over="raise", invalid="raise"):
+        spec = np.fft.rfft(values)
+        n_bands = n // 2 // band_width
+        omegas = np.empty(n_bands)
+        powers = np.empty(n_bands)
+        rows = max(1, _BAND_CHUNK // band_width)
+        for r0 in range(0, n_bands, rows):
+            r1 = min(r0 + rows, n_bands)
+            lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
+            chunk = spec[lo:hi]
+            p = (chunk.real**2 + chunk.imag**2) / (n * dt)
+            w = 2.0 * np.pi * np.arange(lo, hi) / (n * dt)
+            powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
+            omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    return AvgSpectrum(omegas=omegas, powers=powers)
+
+
 # ---------------------------------------------------------------------------
 # empirical autocovariance over whole arrays
 # ---------------------------------------------------------------------------
@@ -416,6 +466,35 @@ def restoring_run_serial(psi: float, phi: float, sigma: float, n: int,
     result = RestoringResult(discrete=discrete, continuous=continuous,
                              params_continuous=params_c, burn_in=burn)
     return result, (child_d, child_c)
+
+
+def spectra_run_serial(theta: float, gamma: float, n: int, dt: float,
+                       band_width: int, seed: int):
+    """``rednoise.spectra_run`` with its four models sampled one after the
+    other on the calling thread, each spectrum by :func:`band_spectrum_rfft`.
+
+    Returns ``(comparisons, red_slope, streams)``: the comparisons in model
+    order, the red slope over [1, 10] and the four substreams.
+    """
+    from rednoise import (DiffU, GaussianStream, Mixed, RedOuDt, White,
+                          increments, loglog_slope, theoretical_psd)
+    from rednoise.figures import SpectrumComparison
+    cases = (("white", White()), ("red", RedOuDt(theta)),
+             ("du", DiffU(theta)), ("mixed", Mixed(theta, gamma)))
+    children = GaussianStream(seed).spawn(len(cases))
+    comparisons = []
+    for (name, model), child in zip(cases, children):
+        avg = band_spectrum_rfft(increments(model, dt, n, child), band_width)
+        theory = np.asarray(theoretical_psd(model, avg.omegas))
+        lo, hi = avg.omegas[3], 0.5 * np.pi / dt
+        sel = (avg.omegas >= lo) & (avg.omegas <= hi)
+        rel = np.abs(avg.powers[sel] / theory[sel] - 1.0)
+        comparisons.append(SpectrumComparison(
+            name=name, model=model, spectrum=avg, theory=theory,
+            omega_lo=float(lo), omega_hi=float(hi),
+            max_rel_dev=float(rel.max())))
+    red_slope, _ = loglog_slope(comparisons[1].spectrum, 1.0, 10.0)
+    return comparisons, red_slope, children
 
 
 def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,

@@ -294,9 +294,12 @@ def test_out_of_range_products_exit_2(tmp_path, capsys, model, cause):
     assert err.startswith("error: ") and cause in err and err.count("\n") == 1
 
 
+_PACKAGES = ("scipy", "scipy.fft", "scipy.linalg", "scipy.signal")
+
+
 def test_analysis_commands_never_import_scipy(tmp_path):
-    # scipy is loaded only by the filtering samplers; a file analysis and an
-    # fGn sample (FFT only) must leave it unloaded
+    # of scipy, a file analysis and an fGn sample load only the compiled
+    # pocketfft extension (the in-place real FFT), and no scipy package
     script = f"""
 import sys
 from rednoise.cli import main
@@ -311,7 +314,8 @@ for argv in (
          "--omega-max", "6"]):
     assert main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
+assert loaded == ["scipy.fft._pocketfft.pypocketfft"], loaded
+assert not [p for p in {_PACKAGES!r} if p in sys.modules]
 """
     src = str(Path(rednoise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -331,9 +335,10 @@ def _run_script(script):
 
 
 def test_filtering_commands_never_import_scipy_signal(tmp_path):
-    # the AR(1) recursion takes dtbsv from scipy's compiled _fblas alone; a
-    # red sample, a small fig2 (whose 1% gate fails at this n, exit 1) and a
-    # quick theorem must leave it the only scipy module loaded
+    # the AR(1) recursion takes dtbsv from scipy's compiled _fblas alone and
+    # theorem's periodograms the compiled pocketfft; a red sample, a small
+    # fig2 (whose 1% gate fails at this n, exit 1) and a quick theorem must
+    # leave these two the only scipy modules loaded, and no scipy package
     script = f"""
 import sys
 from rednoise.cli import main
@@ -343,7 +348,9 @@ assert main(["generate", "--model", "model=red theta=0.1", "--n", "1000",
 assert main(["fig2", "--n", "20000", "--out", d + "/fig2"]) in (0, 1)
 assert main(["theorem", "--quick", "--out", d + "/t.csv"]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert loaded == ["scipy.linalg._fblas"], loaded
+assert loaded == ["scipy.fft._pocketfft.pypocketfft",
+                  "scipy.linalg._fblas"], loaded
+assert not [p for p in {_PACKAGES!r} if p in sys.modules]
 """
     _run_script(script)
     assert (tmp_path / "fig2" / "continuous.csv").exists()
@@ -365,6 +372,48 @@ assert scipy.linalg.blas.dtbsv is fblas.dtbsv
 assert np.array_equal(scipy.linalg.expm(np.zeros((2, 2))), np.eye(2))
 """
     _run_script(script)
+
+
+def test_scipy_fft_reuses_the_loaded_fft_extension():
+    # after the first in-place FFT, importing scipy.fft finds the same
+    # compiled module, and the package still works
+    script = """
+import sys
+import numpy as np
+from rednoise import GaussianStream, TimeSeries, periodogram
+x = GaussianStream(0).fill(1001)
+periodogram(TimeSeries(1.0, x))
+name = "scipy.fft._pocketfft.pypocketfft"
+fft = sys.modules[name]
+assert "scipy.fft" not in sys.modules
+import scipy.fft
+import scipy.fft._pocketfft.basic
+assert sys.modules[name] is fft
+assert scipy.fft._pocketfft.basic.pfft is fft
+assert np.array_equal(scipy.fft.rfft(x), np.fft.rfft(x))
+assert np.allclose(scipy.fft.irfft(scipy.fft.rfft(x), x.size), x)
+"""
+    _run_script(script)
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "model=fgn hurst=0.7", "--n", "10"),
+    ("fig1", "--n", "200000", "--band-width", "10"),
+], ids=["generate-fgn", "fig1"])
+def test_missing_fft_extension_exits_2_naming_the_directory(
+        tmp_path, capsys, monkeypatch, argv):
+    # no fallback to numpy's out-of-place FFT: a scipy without pypocketfft
+    # gives one error line naming where it was looked for
+    monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft",
+                        raising=False)
+    fake = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    searched = [str(tmp_path / "fft" / "_pocketfft")]
+    assert err == (f"error: scipy's FFT extension pypocketfft not found in "
+                   f"{searched}\n")
 
 
 def test_missing_blas_extension_exits_2_naming_the_directory(tmp_path, capsys,
@@ -422,6 +471,13 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
          "sigma=1e+300 too large: sigma**2 overflows"),
         (("fig1", "--quick", "--dt", "1e-300", "--out", str(tmp_path / "f")),
          "dt=1e-300 too small: (pi/dt)**2 overflows"),
+        # the slope window [1, 10] holds no band centre at these steps
+        (("fig1", "--quick", "--dt", "100", "--out", str(tmp_path / "f")),
+         "dt=100.0 puts only 0 band centres in the slope window [1.0, 10.0] "
+         "(n=2097152, band_width=1000); need at least 8"),
+        (("fig1", "--quick", "--dt", "1e-150", "--out", str(tmp_path / "f")),
+         "dt=1e-150 puts only 0 band centres in the slope window [1.0, 10.0] "
+         "(n=2097152, band_width=1000); need at least 8"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {cause}\n")

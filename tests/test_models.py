@@ -136,6 +136,22 @@ def test_spectra_run_rejects_band_wider_than_spectrum_before_any_draw(
         spectra_run(n=1000, band_width=600)
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
+
+@pytest.mark.parametrize("dt, n, held", [
+    (100.0, 2**21, 0),                 # every band below omega = 1
+    (1e-150, 2**21, 0),                # every band above omega = 10
+    (0.1, 20_000, 3),                  # 3.1-wide bands: too few in [1, 10]
+])
+def test_spectra_run_rejects_a_thin_slope_window_before_any_draw(
+        made_streams, dt, n, held):
+    # the band centres in the red slope's window are counted before the
+    # first draw, and the error names dt and the window
+    want = (f"dt={dt} puts only {held} band centres in the slope window "
+            f"[1.0, 10.0] (n={n}, band_width=1000); need at least 8")
+    with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+        spectra_run(n=n, dt=dt)
+    assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
+
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values
 # ---------------------------------------------------------------------------
@@ -340,10 +356,12 @@ def test_fgn_deep_lag_covariances():
         assert est == pytest.approx(fgn_increment_cov(0.8, 1.0, m), rel=0.10)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 17, 1000, 1001, 2**16 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 1000, 1001, 2**16, 2**16 + 1,
+                               131_075])
 @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])
 def test_fgn_sample_matches_full_length_reference(n, hurst):
-    # the in-place, blocked sampler gives the reference's bytes and draws;
+    # the one-array, blocked sampler on the in-place halfcomplex FFT gives
+    # the bytes and draws of the reference on numpy's rfft and irfft;
     # 2**16 + 1 puts a block boundary inside both the row and the spectrum
     for dt in (1.0, 0.5):
         for seed in (0, 5):
@@ -358,14 +376,15 @@ def test_fgn_sample_matches_full_length_reference(n, hurst):
 def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
     # corrupt one eigenvalue of the embedding: there is no fallback, so the
     # sampler must refuse and name H and n
-    rfft = np.fft.rfft
+    halfcomplex = models._halfcomplex
 
-    def broken(a, *args, **kwargs):
-        out = rfft(a, *args, **kwargs)
-        out[1] = -1.0
-        return out
+    def broken(y, forward):
+        halfcomplex(y, forward)
+        if forward:
+            y[1] = -1.0                  # the real part of bin 1
+        return y
 
-    monkeypatch.setattr(np.fft, "rfft", broken)
+    monkeypatch.setattr(models, "_halfcomplex", broken)
     with pytest.raises(RuntimeError,
                        match=rf"not nonnegative definite for H=0\.7, n={n}"):
         fgn_sample(0.7, 1.0, n, GaussianStream(3))
@@ -381,17 +400,20 @@ def test_fgn_sample_large_n():
 
 
 def test_fgn_sample_traced_peak_per_sample():
-    # the 2n-point row and the n+1 rfft bins (16 bytes per sample each),
-    # then the bins, the 2n-point irfft and the output (8); numpy's FFT
-    # scratch is not traced
-    n = 2**17
+    # one 2n-point workspace (16 bytes per sample) and the n-point copy
+    # returned (8), plus a few blocks of covariances and draws (about 1.6 at
+    # this n); pocketfft's scratch is not traced (43 at the parent, on
+    # numpy's out-of-place FFTs)
+    n = 2**20
+    fgn_sample(0.9, 1.0, 2, GaussianStream(0))        # loads the FFT extension
     tracemalloc.start()
     try:
-        fgn_sample(0.9, 1.0, n, GaussianStream(1))
+        out = fgn_sample(0.9, 1.0, n, GaussianStream(1)).values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n <= 96
+    assert peak / n <= 28
+    assert out.base is None                       # not a view of the workspace
 
 
 def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
@@ -426,7 +448,7 @@ _PROTOCOL = [
 ]
 # the shortest lengths, and one past a block of the AR(1) solve and of the
 # fGn workspace
-_EDGES = (1, 2, models._AR1_BLOCK + 1, models._FGN_BLOCK + 1)
+_EDGES = (1, 2, models._AR1_BLOCK + 1, models._BLOCK + 1)
 # Each case is named by its row number.  The None rows are retired start
 # protocols: they keep the numbers, and so the names, of the rows after them.
 _DRAW_ROWS = [
@@ -477,7 +499,7 @@ def test_mixed_shares_its_brownian_stream():
 def test_ar1_paths_hold_one_array(sample):
     # the draws are scaled and solved in the array they were drawn into:
     # besides the output, only the 64 KB band and the finiteness check's
-    # n-byte mask are allocated
+    # 64 KB block mask are allocated
     n = 2**20
     stream = GaussianStream(13)
     tracemalloc.start()
@@ -487,6 +509,39 @@ def test_ar1_paths_hold_one_array(sample):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * out.nbytes
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_diffu_and_mixed_match_their_whole_array_bodies(n):
+    # blocked in place, with block edges at and around 2**16, they give the
+    # bytes and draws of np.diff of the whole path and of the whole dW copy
+    for model, reference in (
+            (DiffU(0.3), lambda s: oracles.diffu_increments_reference(
+                0.3, 0.1, n, s)),
+            (Mixed(0.3, -0.7), lambda s: oracles.mixed_increments_reference(
+                0.3, -0.7, 0.1, n, s))):
+        stream, ref_stream = GaussianStream(n), GaussianStream(n)
+        got = increments(model, 0.1, n, stream).values
+        want = reference(ref_stream)
+        assert got.tobytes() == want.tobytes(), model
+        assert stream.count_drawn == ref_stream.count_drawn == n + 1
+
+
+@pytest.mark.parametrize("model", [DiffU(0.1), Mixed(0.1, 0.5)],
+                         ids=["du", "mixed"])
+def test_diffu_and_mixed_hold_one_array(model):
+    # the n + 1 point path is the output's array; beside it only a block
+    # (of dW, or numpy's copy of the overlapping operand), the AR(1) band
+    # and the finiteness check's block mask are allocated
+    n = 2**20
+    increments(model, 0.1, 2, GaussianStream(0))     # loads the BLAS extension
+    tracemalloc.start()
+    try:
+        out = increments(model, 0.1, n, GaussianStream(15)).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * out.nbytes
 
 
 def test_ar1_recursion_allocates_only_its_band():

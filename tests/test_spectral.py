@@ -119,9 +119,11 @@ def test_band_average_preserves_covered_mean():
 # ---------------------------------------------------------------------------
 
 def _same_bits(series, band_width):
-    # the streamed body against band_average of the whole-array periodogram,
-    # at this band width and at band width 1 (the periodogram itself)
-    for got, bw in ((spectral._band_spectrum(series, band_width), band_width),
+    # the streamed body (on a copy, which its FFT overwrites) against
+    # band_average of the whole-array periodogram, at this band width and at
+    # band width 1 (the periodogram itself)
+    handed = _series(series.values.copy(), series.dt)
+    for got, bw in ((spectral._band_spectrum(handed, band_width), band_width),
                     (periodogram(series), 1)):
         ref = band_average(oracles.periodogram_reference(series), bw)
         assert got.omegas.tobytes() == ref.omegas.tobytes()
@@ -145,6 +147,27 @@ def test_band_spectrum_matches_for_any_chunking(n, bw, chunk, dt):
     series = _series(GaussianStream(n).fill(n) * 1e3, dt)
     with patch.object(spectral, "_BAND_CHUNK", chunk):
         _same_bits(series, min(bw, n // 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 4097, 65537, 100003, 2**21 + 1])
+@pytest.mark.parametrize("bw", [1, 7, 1000])
+def test_in_place_fft_has_the_bits_of_numpys_rfft(n, bw):
+    # the halfcomplex transform against the body written on np.fft.rfft:
+    # even and odd n (a real Nyquist bin or none), prime n (pocketfft's
+    # Bluestein path) and bands straddling chunk edges
+    bw = min(bw, n // 2)
+    values = GaussianStream(n).fill(n) * 3.0
+    want = oracles.band_spectrum_rfft(_series(values, 0.1), bw)
+    handed = values.copy()
+    got = spectral._band_spectrum(_series(handed, 0.1), bw)
+    assert got.omegas.tobytes() == want.omegas.tobytes()
+    assert got.powers.tobytes() == want.powers.tobytes()
+    assert handed.tobytes() != values.tobytes()        # transformed in place
+    pg = periodogram(_series(values, 0.1))
+    want = oracles.band_spectrum_rfft(_series(values, 0.1), 1)
+    assert pg.powers.tobytes() == want.powers.tobytes()
+    assert pg.omegas.tobytes() == want.omegas.tobytes()
+    assert values.tobytes() == (GaussianStream(n).fill(n) * 3.0).tobytes()
 
 
 def test_band_spectrum_rejects_what_the_reference_rejects():
@@ -256,6 +279,32 @@ def test_overflowing_sums_raise_naming_the_estimator(scale):
         periodogram(series)
     with pytest.raises(ValueError, match="^periodogram overflows: "):
         spectral._band_spectrum(series, 7)
+    assert np.geterr() == before
+
+
+def _near_max(n):
+    values = np.abs(GaussianStream(11).fill(n))
+    return values * (1e308 / values.max())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [
+    _near_max(4000),
+    # only bin 0 overflows; every other bin is exactly 0, so no squared
+    # amplitude does
+    np.full(4096, 5e304),
+], ids=["near-1e308", "bin-0-only"])
+def test_overflowing_fft_raises_naming_the_periodogram(values):
+    # finite input whose FFT itself overflows: pocketfft is no numpy ufunc,
+    # so errstate does not see it, and the transformed values are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.fft.rfft(values)[0])
+    before = np.geterr()
+    with pytest.raises(ValueError, match="^periodogram overflows: "):
+        periodogram(_series(values))
+    for bw in (1, 7):
+        with pytest.raises(ValueError, match="^periodogram overflows: "):
+            spectral._band_spectrum(_series(values.copy()), bw)
     assert np.geterr() == before
 
 

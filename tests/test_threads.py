@@ -13,7 +13,8 @@ import oracles
 import rednoise
 import rednoise.plateau as plateau
 import rednoise.streams as streams
-from rednoise import GaussianStream, RedOuDt, plateau_experiment, restoring_run
+from rednoise import (GaussianStream, RedOuDt, plateau_experiment, restoring_run,
+                      spectra_run)
 from rednoise.cli import main
 from rednoise.streams import _map_substreams
 
@@ -114,6 +115,32 @@ def test_restoring_run_has_the_bits_of_the_serial_run(monkeypatch, threads, seed
             assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_spectra_run_has_the_bits_of_the_serial_run(monkeypatch, threads, seed):
+    # four models on threads, one band spectrum at a time, against the
+    # serial loop on np.fft.rfft: the same bytes, draws and red slope
+    n, dt, bw = 2**17 + 3, 0.1, 1000
+    counts = [n, n, n + 1, n + 1]
+    children = _record_spawns(monkeypatch)
+    want, want_slope, serial = oracles.spectra_run_serial(0.1, 0.5, n, dt, bw,
+                                                          seed)
+    assert [s.count_drawn for s in serial] == counts
+    children.clear()
+    got = spectra_run(theta=0.1, gamma=0.5, n=n, dt=dt, band_width=bw,
+                      seed=seed)
+    assert [s.count_drawn for s in children] == counts
+    assert got.red_slope == want_slope
+    assert (got.n, got.dt, got.band_width) == (n, dt, bw)
+    assert len(got.comparisons) == len(want)
+    for g, w in zip(got.comparisons, want):
+        assert (g.name, g.model, g.omega_lo, g.omega_hi, g.max_rel_dev) == \
+            (w.name, w.model, w.omega_lo, w.omega_hi, w.max_rel_dev)
+        for a, b in ((g.spectrum.omegas, w.spectrum.omegas),
+                     (g.spectrum.powers, w.spectrum.powers),
+                     (g.theory, w.theory)):
+            assert a.tobytes() == b.tobytes(), g.name
+
+
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_plateau_experiment_has_the_bits_of_the_serial_loop(monkeypatch, threads,
                                                             beta):
@@ -203,6 +230,58 @@ def test_first_recursions_on_two_threads_load_blas_once(interpreter):
     assert proc.returncode == 0, proc.stderr
 
 
+_FIRST_FFT = """
+import importlib.machinery
+import sys
+import threading
+
+import oracles
+from rednoise import GaussianStream, TimeSeries, spectral
+
+values = [GaussianStream(1).fill(65537), GaussianStream(2).fill(40000)]
+sys.setswitchinterval(1e-6)
+loads = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def counted(self, spec):
+    loads.append(spec.name)
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = counted
+spectra = [None, None]
+start = threading.Barrier(2, timeout=60)
+
+def first_use(i):
+    start.wait()
+    spectra[i] = spectral._band_spectrum(TimeSeries(0.5, values[i].copy()), 7)
+
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+assert loads == ["scipy.fft._pocketfft.pypocketfft"], loads
+assert "scipy.fft" not in sys.modules
+for got, x in zip(spectra, values):
+    want = oracles.band_spectrum_rfft(TimeSeries(0.5, x), 7)
+    assert got.powers.tobytes() == want.powers.tobytes()
+"""
+
+
+@pytest.mark.parametrize("interpreter", range(3))
+def test_first_ffts_on_two_threads_load_pocketfft_once(interpreter):
+    # each fresh interpreter takes its first two FFTs at one moment; the
+    # extension is created once and both spectra have numpy's bits
+    dirs = [str(Path(rednoise.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        dirs + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _FIRST_FFT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # a failing task on the command line
 # ---------------------------------------------------------------------------
@@ -214,6 +293,8 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("target, argv", [
     ("rednoise.figures.simulate_exact", ("fig2", "--n", "20000")),
     ("rednoise.plateau.ou_exact_sample", ("theorem", "--quick")),
+    ("rednoise.figures.increments",
+     ("fig1", "--n", "200000", "--band-width", "10")),
 ])
 def test_a_task_failure_gives_one_error_line_and_exit_2(
         tmp_path, capsys, monkeypatch, target, argv):
