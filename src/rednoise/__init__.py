@@ -6,11 +6,10 @@ analysis — all driven by seeded, reproducible Gaussian streams.
 """
 
 from .models import (Ar1Driven, DiffU, Fgn, Mixed, NoiseModel, RedOuDt, White,
-                     fgn_increment_cov, fgn_sample, increments, ou_autocov,
-                     ou_exact_sample, ou_increment_cov, parse_model,
+                     fgn_increment_cov, fgn_sample, finite_psd_theoretical,
+                     increments, ou_autocov, ou_exact_sample, ou_increment_cov,
+                     parse_model, psd_kernel_auto, psd_kernel_cross,
                      theoretical_psd)
-from .plateau import (PlateauReport, finite_psd_theoretical,
-                      plateau_experiment, psd_kernel_auto, psd_kernel_cross)
 from .series import TimeSeries, load_values, save_series, write_csv
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
@@ -18,8 +17,9 @@ from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
 from .spectral import (AcfEstimate, AvgSpectrum, band_average, empirical_acf,
                        loglog_slope, periodogram)
 from .streams import GaussianStream
-from .figures import (AcfComparison, RestoringResult, SpectraResult,
-                      SpectrumComparison, restoring_run, spectra_run)
+from .figures import (AcfComparison, PlateauReport, RestoringResult,
+                      SpectraResult, SpectrumComparison, plateau_experiment,
+                      restoring_run, spectra_run)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,7 @@ __all__ = [
     "Ar1Driven", "DiffU", "Fgn", "Mixed", "NoiseModel", "RedOuDt", "White",
     "fgn_increment_cov", "fgn_sample", "increments", "ou_autocov",
     "ou_exact_sample", "ou_increment_cov", "parse_model", "theoretical_psd",
-    "PlateauReport", "finite_psd_theoretical", "plateau_experiment",
-    "psd_kernel_auto", "psd_kernel_cross",
+    "finite_psd_theoretical", "psd_kernel_auto", "psd_kernel_cross",
     "TimeSeries", "load_values", "save_series", "write_csv",
     "ContinuousSystemParams", "DiscreteSystemParams",
     "continuous_from_discrete", "simulate_discrete", "simulate_exact",
@@ -37,6 +36,6 @@ __all__ = [
     "loglog_slope", "periodogram",
     "GaussianStream",
     "AcfComparison", "RestoringResult", "SpectraResult", "SpectrumComparison",
-    "restoring_run", "spectra_run",
+    "restoring_run", "spectra_run", "PlateauReport", "plateau_experiment",
     "__version__",
 ]

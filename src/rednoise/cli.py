@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .figures import restoring_run, spectra_run
+from .figures import plateau_experiment, restoring_run, spectra_run
 from .models import RedOuDt, increments, parse_model
-from .plateau import plateau_experiment
 from .series import (FORMATS, TimeSeries, _check_n, _read_csv, load_values,
                      save_series, write_csv)
 from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
@@ -260,10 +259,8 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     if args.quick:
         replicas = QUICK_THEOREM["replicas"]
         horizon = QUICK_THEOREM["t"]
-    report = plateau_experiment(
-        RedOuDt(args.theta), args.beta, horizon, args.dt,
-        omegas=(10.0, 15.0, 20.0, 25.0, 30.0), replicas=replicas,
-        stream=GaussianStream(args.seed))
+    report = plateau_experiment(RedOuDt(args.theta), args.beta, horizon,
+                                args.dt, replicas, GaussianStream(args.seed))
     if args.out:
         write_csv(args.out, "omega,empirical,theoretical,plateau_target",
                   report.omegas, report.empirical, report.theoretical,

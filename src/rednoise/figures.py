@@ -5,7 +5,10 @@ OU-increment, mixed), band-averages their periodograms, and compares against
 the closed-form densities.  ``restoring_run`` samples the discrete and
 continuous linearly restoring systems on the unit grid (the continuous one by
 its exact transition) and compares their autocorrelations against the shared
-closed form.  Both are pure functions of their parameters and the seed.
+closed form.  ``plateau_experiment`` averages the periodograms of replicas of
+``dY = U dt + beta dW`` and shows the high-frequency dichotomy: a plateau at
+``beta**2`` when ``beta != 0``, an ``omega**-2`` decay when ``beta = 0``.
+All three are pure functions of their parameters and the seed.
 """
 
 from __future__ import annotations
@@ -15,21 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White, increments,
-                     theoretical_psd)
-from .series import TimeSeries, _check_n, _check_positive
+from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White,
+                     finite_psd_theoretical, increments, theoretical_psd)
+from .series import (TimeSeries, _check_finite, _check_n, _check_positive,
+                     _check_square)
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
 from .spectral import (AvgSpectrum, _band_omegas, _band_powers,
-                       _check_band_width, empirical_acf, loglog_slope)
+                       _check_band_width, band_average, empirical_acf,
+                       loglog_slope)
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",
-           "RestoringResult", "spectra_run", "restoring_run"]
+           "RestoringResult", "PlateauReport", "spectra_run", "restoring_run",
+           "plateau_experiment"]
 
 # spectra_run fits the red spectrum's log-log slope over these frequencies.
 _SLOPE_WINDOW = (1.0, 10.0)
+# plateau_experiment measures the plateau over this band of angular
+# frequencies, and reports the power near each of _PLATEAU_OMEGAS.
+_PLATEAU_BAND = (10.0, 30.0)
+_PLATEAU_OMEGAS = (10.0, 15.0, 20.0, 25.0, 30.0)
 # One band spectrum at a time: its FFT holds the largest working set of a
 # spectra_run, so two at once would double the peak.
 _SPECTRUM_LOCK = threading.Lock()
@@ -198,3 +208,115 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
         compare, zip(simulators, GaussianStream(seed).spawn(2)))
     return RestoringResult(discrete=discrete, continuous=continuous,
                            params_continuous=params_c, burn_in=burn)
+
+
+@dataclass(frozen=True)
+class PlateauReport:
+    """Outcome of :func:`plateau_experiment`.
+
+    ``empirical[i]`` is the replica-averaged power near ``omegas[i]``;
+    ``theoretical[i]`` the matching closed form (OU kernel plus ``beta**2``);
+    ``plateau_estimate`` the mean power over the plateau band;
+    ``plateau_target`` is ``beta**2``.  ``decay_slope`` is the fitted log-log
+    slope over the plateau band, meaningful mainly for ``beta = 0``.
+    ``passed`` reflects the plateau assertion (``beta != 0``: estimate within
+    5% of target; ``beta = 0``: decay slope within -2 +/- 0.2).
+    """
+
+    beta: float
+    t: float
+    dt: float
+    replicas: int
+    omegas: np.ndarray
+    empirical: np.ndarray
+    theoretical: np.ndarray
+    plateau_band: tuple[float, float]
+    plateau_estimate: float
+    plateau_target: float
+    decay_slope: float
+    passed: bool
+    detail: str
+
+
+def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
+                       replicas: int, stream: GaussianStream) -> PlateauReport:
+    """Measure the high-frequency power of ``dY = U dt + beta dW``.
+
+    Each replica draws an independent stationary OU path U and an independent
+    Brownian increment stream W (one spawned substream per replica; U first,
+    then W), forms the increments in one array, and takes their periodogram
+    in place; powers are averaged across replicas bin by bin.  The plateau
+    estimate is the mean averaged power over the band ``_PLATEAU_BAND``
+    (omega in [10, 30]); for nonzero ``beta`` it must land within 5% of
+    ``beta**2``, for ``beta = 0`` the fitted log-log slope over the band must
+    be -2 +/- 0.2 (pure red noise keeps decaying; any Brownian admixture pins
+    the plateau at its squared amplitude).  The power is reported near each
+    of the frequencies ``_PLATEAU_OMEGAS`` (10, 15, ..., 30).  Replicas run
+    on two threads, at most four in flight, and their powers are summed in
+    replica order, so the result has the bits of a serial loop.
+
+    Preconditions: an integer ``replicas >= 32``, at least 16 steps, and
+    ``dt <= 2 pi / 300`` so that the band sits far below Nyquist.
+    """
+    if not isinstance(alpha_model, RedOuDt):
+        raise ValueError(f"alpha_model must be RedOuDt, got {type(alpha_model).__name__}")
+    beta = _check_square(_check_finite(beta, "beta"), "beta")
+    t = _check_positive(t, "T")
+    dt = _check_positive(dt, "dt")
+    replicas = _check_n(replicas, "replicas", least=32)
+    lo, hi = _PLATEAU_BAND
+    # this also rejects any frequency above Nyquist, pi/dt
+    if dt > 2.0 * np.pi / (10.0 * hi):
+        raise ValueError(
+            f"dt={dt} too coarse for max frequency {hi:.3g} "
+            "(need dt <= 2*pi/(10*max omega))")
+
+    n = int(round(t / dt))
+    if n < 16:
+        raise ValueError(f"horizon T={t} at dt={dt} gives only {n} steps")
+    omegas = np.array(_PLATEAU_OMEGAS)
+    theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
+    grid = _band_omegas(n, dt, 1)
+
+    def replica(child):
+        dy = increments(alpha_model, dt, n, child).values
+        dy += beta * np.sqrt(dt) * child.fill(n)
+        return _band_powers(dy, dt, 1)
+
+    mean_powers = None
+    for powers in _map_substreams(replica, stream.spawn(replicas), in_flight=4):
+        mean_powers = powers if mean_powers is None else mean_powers + powers
+    mean_powers /= replicas
+
+    d_omega = grid[0]
+    empirical = np.empty(omegas.size)
+    for i, w in enumerate(omegas):
+        half = max(0.02 * w, 3.0 * d_omega)
+        sel = np.abs(grid - w) <= half
+        empirical[i] = mean_powers[sel].mean()
+
+    band_sel = (grid >= lo) & (grid <= hi)
+    plateau_estimate = float(mean_powers[band_sel].mean())
+    plateau_target = beta * beta
+
+    width = max(int(np.count_nonzero(band_sel) // 40), 1)
+    avg = band_average(AvgSpectrum(omegas=grid, powers=mean_powers), width)
+    decay_slope, _ = loglog_slope(avg, lo, hi)
+
+    if beta != 0.0:
+        rel = abs(plateau_estimate - plateau_target) / plateau_target
+        passed = rel <= 0.05
+        detail = (f"plateau {plateau_estimate:.6g} vs target {plateau_target:.6g} "
+                  f"(rel dev {rel:.2%}, tol 5%)")
+    else:
+        passed = abs(decay_slope + 2.0) <= 0.2
+        detail = (f"decay slope {decay_slope:.4f} over band [{lo:g}, {hi:g}] "
+                  "(target -2 +/- 0.2)")
+    return PlateauReport(beta=beta, t=t, dt=dt, replicas=replicas,
+                         omegas=omegas, empirical=empirical,
+                         theoretical=np.asarray(theoretical),
+                         plateau_band=_PLATEAU_BAND,
+                         plateau_estimate=plateau_estimate,
+                         plateau_target=plateau_target,
+                         decay_slope=float(decay_slope),
+                         passed=passed, detail=detail)

@@ -19,9 +19,11 @@ are supported, written here as the per-step increment ``dY_k``:
 The OU process is sampled exactly (AR(1) recursion with coefficient
 ``exp(-theta*dt)``), so the sampled path has the law of the continuous process
 on the grid.  Fractional Gaussian noise is sampled exactly in distribution by
-circulant embedding.  All randomness is drawn from a
-:class:`~rednoise.streams.GaussianStream` in a documented order, so every
-sampler is reproducible from its seed.
+circulant embedding.  Beside the limiting densities, the finite-horizon
+densities of the red and mixed models have closed forms
+(:func:`finite_psd_theoretical`, built from two OU kernels).  All
+randomness is drawn from a :class:`~rednoise.streams.GaussianStream` in a
+documented order, so every sampler is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -32,23 +34,22 @@ from typing import Union
 import numpy as np
 
 from ._scipy import extension
-from .series import (_TINY, TimeSeries, _check_finite, _check_fraction, _check_n,
-                     _check_positive, _check_rate, _check_square)
+from .series import (_BLOCK, _TINY, TimeSeries, _check_finite, _check_fraction,
+                     _check_n, _check_ou_step, _check_positive, _check_rate,
+                     _check_square)
 from .spectral import _halfcomplex
 from .streams import GaussianStream
 
 __all__ = [
     "White", "RedOuDt", "DiffU", "Mixed", "Ar1Driven", "Fgn", "NoiseModel",
     "ou_exact_sample", "ou_autocov", "ou_increment_cov", "fgn_sample",
-    "fgn_increment_cov", "increments", "theoretical_psd", "parse_model",
+    "fgn_increment_cov", "increments", "theoretical_psd", "psd_kernel_auto",
+    "psd_kernel_cross", "finite_psd_theoretical", "parse_model",
 ]
 
 # exp(-x) is subnormal (or zero) for x beyond _LOG_TINY, about 708.4.
 _LOG_TINY = -np.log(_TINY)
 
-# Points per block when fgn_sample fills its workspace, and when DiffU and
-# Mixed form their increments in place.
-_BLOCK = 2**16
 # Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
 # doubles (64 KB).
 _AR1_BLOCK = 2**12
@@ -178,11 +179,14 @@ def ou_exact_sample(theta: float, dt: float, n: int,
     ``s = sqrt((1 - exp(-2 theta dt)) / (2 theta))`` has the same
     finite-dimensional marginals as the continuous process at the grid times,
     for any step size.  ``q_0 ~ N(0, 1/(2 theta))`` is the first of the
-    ``n`` draws, then come the ``n - 1`` innovations.
+    ``n`` draws, then come the ``n - 1`` innovations.  A step with
+    ``2 theta dt < 2**-106``, whose innovations would round away, is
+    rejected before any draw.
     """
     _check_rate(theta, "theta")
     dt = _check_positive(dt, "dt")
     n = _check_n(n)
+    _check_ou_step(theta, dt)
     coeff = np.exp(-theta * dt)
     scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
     y = _stationary_start(scale, np.sqrt(2.0 * theta), n, stream)
@@ -311,7 +315,7 @@ def fgn_increment_cov(hurst: float, dt: float, m) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# increments and the limiting spectral density
+# increments and their spectral densities
 # ---------------------------------------------------------------------------
 
 def increments(model: NoiseModel, dt: float, n: int,
@@ -326,7 +330,8 @@ def increments(model: NoiseModel, dt: float, n: int,
     - ``Mixed``: the stationary ``U_0`` first, then the n Brownian
       increments; U is advanced by explicit Euler with the *same* increments
       that appear in dY (the coupling is the point of this model).  Needs
-      ``theta*dt < 1``, so that the Euler coefficient stays positive.
+      ``theta*dt < 1``, so that the Euler coefficient stays positive, and
+      ``2 theta dt >= 2**-106``, as ``ou_exact_sample`` does.
     - ``Ar1Driven``: the stationary AR(1) path ``eps_{k+1} = phi eps_k + z_k``,
       ``eps_0 ~ N(0, 1/(1-phi^2))`` first, then n-1 innovations; only
       ``dt == 1`` is accepted because the continuum scaling of AR(1) noise
@@ -357,6 +362,7 @@ def increments(model: NoiseModel, dt: float, n: int,
             raise ValueError(
                 "Mixed advances U by Euler and needs theta*dt < 1, "
                 f"got theta*dt={model.theta * dt}")
+        _check_ou_step(model.theta, dt)
         u = _stationary_start(np.sqrt(dt), np.sqrt(2.0 * model.theta), n + 1,
                               stream)
         # U_{k+1} = (1 - theta dt) U_k + dW_k; dY_k = (gamma U_k) dt + dW_k
@@ -411,6 +417,67 @@ def theoretical_psd(model: NoiseModel, omega) -> np.ndarray | float:
     else:
         raise TypeError(f"not a noise model: {model!r}")
     return out if out.ndim else float(out)
+
+
+def psd_kernel_auto(t: float, omega, theta: float) -> np.ndarray | float:
+    """Windowed spectral mass of the OU autocovariance.
+
+    ``integral over [0,T]^2 of exp(-i omega (u - s)) * exp(-theta |u - s|) /
+    (2 theta) du ds`` — real by symmetry.  Dividing by T gives the
+    finite-horizon PSD of the red differential ``U dt``, and
+    ``psd_kernel_auto / T -> 1 / (theta^2 + omega^2)`` as T grows.
+
+    Identically equal to ``(psd_kernel_cross + conj(psd_kernel_cross)) /
+    (2 theta)`` — the two kernels are evaluated independently and the
+    identity is a test oracle, not an implementation shortcut.
+    """
+    t = _check_positive(t, "T")
+    _check_square(_check_rate(theta, "theta"), "theta")
+    omega = np.asarray(omega, dtype=np.float64)
+    d = theta * theta + omega * omega
+    decay = np.exp(-theta * t)
+    out = t / d + ((omega**2 - theta**2) * (1.0 - decay * np.cos(omega * t))
+                   - 2.0 * theta * omega * decay * np.sin(omega * t)) / (theta * d * d)
+    return out if out.ndim else float(out)
+
+
+def psd_kernel_cross(t: float, omega, theta: float) -> np.ndarray | complex:
+    """Ordered-triangle kernel ``[T(theta - i omega) + e^{-T(theta - i omega)} - 1]
+    / (theta - i omega)^2``.
+
+    Equals the iterated integral over ``0 <= s <= u <= T`` of
+    ``exp(-i omega (s - u)) exp(-theta (u - s))``; its real part carries the
+    drift/Brownian cross term of the mixed model.  Kept in explicit complex
+    arithmetic — the poles sit at ``theta = i omega`` and real-only
+    rearrangements reintroduce the cancellation this form avoids.
+    """
+    t = _check_positive(t, "T")
+    _check_square(_check_rate(theta, "theta"), "theta")
+    omega = np.asarray(omega, dtype=np.float64)
+    pole = theta - 1j * omega
+    out = (t * pole + np.exp(-t * pole) - 1.0) / (pole * pole)
+    return out if out.ndim else complex(out)
+
+
+def finite_psd_theoretical(model: NoiseModel, t: float, omega) -> np.ndarray | float:
+    """Finite-horizon PSD of the red or mixed differential at horizon ``t``.
+
+    ``RedOuDt -> psd_kernel_auto / T``;
+    ``Mixed -> (gamma^2 psd_kernel_auto + 2 gamma Re(psd_kernel_cross) + T) / T``.
+    Converges pointwise to :func:`theoretical_psd` as the horizon grows.  Other model variants are rejected.
+    """
+    t = float(t)
+    if isinstance(model, RedOuDt):
+        out = psd_kernel_auto(t, omega, model.theta) / t
+    elif isinstance(model, Mixed):
+        auto = psd_kernel_auto(t, omega, model.theta)
+        cross = np.real(psd_kernel_cross(t, omega, model.theta))
+        out = (model.gamma**2 * auto + 2.0 * model.gamma * cross + t) / t
+    else:
+        raise ValueError(
+            f"finite-horizon PSD available for RedOuDt and Mixed only, "
+            f"got {type(model).__name__}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,19 @@ __all__ = [
 ]
 
 
-# Points per block in _all_finite (a 64 KB mask).
-_FINITE_BLOCK = 2**16
+# Points per working block wherever a pass over a long array is split to cap
+# its temporaries: the finiteness mask here, fgn_sample's workspace and the
+# DiffU and Mixed increments (models), the simulators' steps (simulate) and
+# the band spectrum's chunks of bins (spectral).  Each module imports it by
+# name, so a test can set one module's block alone.
+_BLOCK = 2**16
 
 
 def _all_finite(values: np.ndarray) -> bool:
     """Whether every value of a 1-D array is finite, tested a block at a
     time, so that no full-length mask is built."""
-    return all(np.isfinite(values[a:a + _FINITE_BLOCK]).all()
-               for a in range(0, values.size, _FINITE_BLOCK))
+    return all(np.isfinite(values[a:a + _BLOCK]).all()
+               for a in range(0, values.size, _BLOCK))
 
 
 def _check_values(values) -> np.ndarray:
@@ -78,6 +82,22 @@ def _check_square(x, name: str) -> float:
     if x * x == np.inf:
         raise ValueError(f"{name}={x} too large: {name}**2 overflows")
     return x
+
+
+def _check_ou_step(theta: float, dt: float) -> None:
+    """Reject an OU step whose innovation is lost in rounding.
+
+    Over a step ``dt`` the stationary OU path moves by an innovation whose
+    sd is ``sqrt(1 - exp(-2 theta dt))``, about ``sqrt(2 theta dt)``, times
+    the stationary sd.  Below ``2 theta dt = 2**-106`` that is under 2**-53
+    of the stationary sd, so every step rounds back to the start and the
+    path is a constant.
+    """
+    if 2.0 * theta * dt < 2.0**-106:
+        raise ValueError(
+            f"theta={theta} with dt={dt} gives an OU step whose innovation "
+            "is below 2**-53 of the stationary sd, lost in rounding "
+            "(need 2*theta*dt >= 2**-106)")
 
 
 def _check_fraction(x, name: str) -> float:

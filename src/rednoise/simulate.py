@@ -24,20 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import _ar1_recursion
-from .series import (TimeSeries, _check_finite, _check_fraction, _check_n,
-                     _check_positive, _check_rate, _check_square)
+from .series import (_BLOCK, TimeSeries, _check_finite, _check_fraction,
+                     _check_n, _check_positive, _check_rate, _check_square)
 from .streams import GaussianStream
 
 __all__ = ["DiscreteSystemParams", "ContinuousSystemParams",
            "continuous_from_discrete", "simulate_discrete", "simulate_exact",
            "stationary_autocorr"]
-
-# Steps processed per block by the simulators (512 KB of draws per block).
-# Blocked filtering with carried state is bit-for-bit identical to filtering
-# the whole path at once, so this only caps memory, never changes output:
-# beyond the output path a simulator holds a few blocks, already at the 2e6
-# steps of ``fig2 --quick``.
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def _cascade(coeff_u: float, scale_u: float, coeff_x: float, x0: float,
     ``cross = (c_u, c_x)`` each step instead draws an interleaved pair
     ``(z_k, w_k)``, ``2 (n_out - 1)`` draws in all, and X is driven by
     ``(U_k gain + c_u z_k) + c_x w_k``: the innovation of X shares ``z_k``
-    with that of U.  Steps run in ``_CHUNK``-step blocks, and each block
+    with that of U.  Steps run in ``_BLOCK``-step blocks, and each block
     restarts from the last U and the last X written: this gives the bytes of
     one pass over the whole path.  U is solved in one reused block, and each
     block of X is formed and solved in place in the output.
@@ -97,9 +90,9 @@ def _cascade(coeff_u: float, scale_u: float, coeff_x: float, x0: float,
     n_steps = n_out - 1                  # X steps; they read U_0 .. U_{n_steps-1}
     out = np.empty(n_out)
     out[0] = x0
-    u = np.zeros(min(_CHUNK, n_steps) + 1)           # U_start .. U_stop
-    for start in range(0, n_steps, _CHUNK):
-        stop = min(start + _CHUNK, n_steps)
+    u = np.zeros(min(_BLOCK, n_steps) + 1)           # U_start .. U_stop
+    for start in range(0, n_steps, _BLOCK):
+        stop = min(start + _BLOCK, n_steps)
         if cross is None:
             # U_start .. U_stop, but no step reads U_{n_steps}, so the last
             # block draws one fewer
@@ -202,7 +195,7 @@ def simulate_exact(params: ContinuousSystemParams, dt: float, n_out: int,
     step takes one interleaved pair ``(z, w)``, ``2 (n_out - 1)`` draws in
     all.  There is no fine grid, no step limit and no Euler bias: the
     marginals at the grid times are those of the SDE for any ``dt``.  Blocks
-    of ``_CHUNK`` steps keep the working memory beyond the output to a few
+    of ``_BLOCK`` steps keep the working memory beyond the output to a few
     blocks, and the bytes do not depend on the block size.
     """
     dt = _check_positive(dt, "dt")

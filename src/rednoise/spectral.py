@@ -23,14 +23,10 @@ from itertools import repeat
 import numpy as np
 
 from ._scipy import extension
-from .series import TimeSeries, _all_finite, _check_n, _check_values
+from .series import _BLOCK, TimeSeries, _all_finite, _check_n, _check_values
 
 __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
            "band_average", "empirical_acf", "loglog_slope"]
-
-# Periodogram bins per chunk in _band_omegas and _band_powers (rounded down
-# to whole bands).
-_BAND_CHUNK = 1 << 16
 
 # Largest leaf of empirical_acf's summation tree, in points; each leaf is
 # formed and summed in buffers of about this size.  At least 128, the size
@@ -139,7 +135,7 @@ def _band_omegas(n: int, dt: float, band_width: int) -> np.ndarray:
     of an ``n``-point series, formed a chunk of bands at a time."""
     n_bands = n // 2 // band_width
     omegas = np.empty(n_bands)
-    rows = max(1, _BAND_CHUNK // band_width)
+    rows = max(1, _BLOCK // band_width)
     for r0 in range(0, n_bands, rows):
         r1 = min(r0 + rows, n_bands)
         w = 2.0 * np.pi * np.arange(r0 * band_width + 1,
@@ -164,7 +160,7 @@ def _band_powers(y: np.ndarray, dt: float, band_width: int) -> np.ndarray:
         raise overflow
     n_bands = n // 2 // band_width
     powers = np.empty(n_bands)
-    rows = max(1, _BAND_CHUNK // band_width)
+    rows = max(1, _BLOCK // band_width)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for r0 in range(0, n_bands, rows):

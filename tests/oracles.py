@@ -388,7 +388,7 @@ def band_spectrum_rfft(series, band_width: int):
     bands at a time.  The package's in-place halfcomplex transform must give
     its bytes."""
     from rednoise import AvgSpectrum
-    from rednoise.spectral import _BAND_CHUNK
+    from rednoise.spectral import _BLOCK
     values = series.values
     n = values.size
     dt = series.dt
@@ -397,7 +397,7 @@ def band_spectrum_rfft(series, band_width: int):
         n_bands = n // 2 // band_width
         omegas = np.empty(n_bands)
         powers = np.empty(n_bands)
-        rows = max(1, _BAND_CHUNK // band_width)
+        rows = max(1, _BLOCK // band_width)
         for r0 in range(0, n_bands, rows):
             r1 = min(r0 + rows, n_bands)
             lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
@@ -500,9 +500,11 @@ def spectra_run_serial(theta: float, gamma: float, n: int, dt: float,
 def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,
                           replicas: int, stream):
     """The replica-mean periodogram of ``rednoise.plateau_experiment``, its
-    replicas run one after the other on the calling thread.
+    replicas run one after the other on the calling thread, each sampled by
+    ``ou_exact_sample`` and transformed by the public ``periodogram``.
 
-    Returns ``(mean_powers, streams)``, the substreams in replica order.
+    Returns ``(mean_powers, omegas, streams)``: the periodogram's grid, and
+    the substreams in replica order.
     """
     from rednoise import TimeSeries, ou_exact_sample, periodogram
     n = int(round(t / dt))
@@ -514,7 +516,7 @@ def plateau_powers_serial(alpha_model, beta: float, t: float, dt: float,
         pg = periodogram(TimeSeries(dt=dt, values=dy))
         mean_powers = pg.powers if mean_powers is None \
             else mean_powers + pg.powers
-    return mean_powers / replicas, children
+    return mean_powers / replicas, pg.omegas, children
 
 
 # ---------------------------------------------------------------------------

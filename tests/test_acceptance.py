@@ -152,8 +152,8 @@ def test_criterion_5_plateau_theorem_signature():
     results = {}
     for beta in (0.0, 0.5, 1.0):
         results[beta] = plateau_experiment(
-            RedOuDt(0.1), beta, 1000.0, 0.01, omegas=(10.0, 15.0, 20.0, 25.0, 30.0),
-            replicas=64, stream=GaussianStream(THEOREM_SEED))
+            RedOuDt(0.1), beta, 1000.0, 0.01, replicas=64,
+            stream=GaussianStream(THEOREM_SEED))
     r0, rh, r1 = results[0.0], results[0.5], results[1.0]
     ok = (r0.passed and abs(r0.decay_slope + 2.0) <= 0.2
           and rh.passed and abs(rh.plateau_estimate - 0.25) <= 0.05 * 0.25

@@ -294,6 +294,30 @@ def test_out_of_range_products_exit_2(tmp_path, capsys, model, cause):
     assert err.startswith("error: ") and cause in err and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["model=du theta=1e-300",
+                                   "model=red theta=1e-300",
+                                   "model=mixed theta=1e-300 gamma=0.5"])
+def test_swamped_ou_step_exits_2_naming_theta_and_dt(tmp_path, capsys, model):
+    # at 2*theta*dt < 2**-106 every OU innovation rounds away, and the path
+    # would be its start repeated (variance 0 for du, rounding dust of a
+    # constant near 1e266 for red and mixed)
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "generate", "--model", model, "--dt", "1",
+                         "--n", "1000", "--seed", "0", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: theta=1e-300 with dt=1.0 gives an OU step ")
+    assert err.count("\n") == 1
+
+
+def test_ou_step_above_the_rounding_limit_is_generated(tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "generate", "--model", "model=du theta=1e-30",
+                         "--dt", "0.1", "--n", "1000", "--seed", "0",
+                         "--out", str(out_path))
+    assert code == 0 and err == "" and out_path.exists()
+
+
 _PACKAGES = ("scipy", "scipy.fft", "scipy.linalg", "scipy.signal")
 
 

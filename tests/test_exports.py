@@ -2,10 +2,15 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import rednoise
 from rednoise import cli, parse_model
@@ -41,6 +46,22 @@ def test_documented_imports_resolve():
                 for alias in node.names]
     assert len(sources) > 5 and imported
     assert sorted(set(imported) - set(rednoise.__all__)) == []
+
+
+_DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[p.name for p in _DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # each demo runs to its end against the package source, so a changed
+    # call signature cannot break one silently; any figure it writes lands
+    # in tmp_path
+    src = str(Path(rednoise.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MPLBACKEND": "Agg"}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_documented_cli_lines_parse():

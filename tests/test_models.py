@@ -110,8 +110,8 @@ _RAMP = TimeSeries(1.0, np.arange(100.0))
     ("max_lag", 0, lambda n, s: restoring_run(max_lag=n)),
     ("band_width", 1, lambda n, s: band_average(periodogram(_RAMP), n)),
     ("band_width", 1, lambda n, s: spectra_run(band_width=n)),
-    ("replicas", 32, lambda n, s: plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01,
-                                                     [10.0], n, s)),
+    ("replicas", 32,
+     lambda n, s: plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01, n, s)),
     ("n", 0, lambda n, s: s.fill(n)),
     ("k", 1, lambda n, s: s.spawn(n)),
 ], ids=["ar1_sample", "ou_exact_sample", "fgn_sample", "increments",
@@ -151,6 +151,29 @@ def test_spectra_run_rejects_a_thin_slope_window_before_any_draw(
     with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
         spectra_run(n=n, dt=dt)
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
+
+@pytest.mark.parametrize("call", [
+    lambda s: ou_exact_sample(1e-300, 1.0, 1000, s),
+    lambda s: increments(RedOuDt(1e-300), 1.0, 1000, s),
+    lambda s: increments(DiffU(1e-300), 1.0, 1000, s),
+    lambda s: increments(Mixed(1e-300, 0.5), 1.0, 1000, s),
+    lambda s: ou_exact_sample(2.0**-107, np.nextafter(1.0, 0.0), 3, s),
+], ids=["ou_exact_sample", "red", "du", "mixed", "just_below"])
+def test_swamped_ou_step_rejected_before_any_draw(call):
+    # below 2 theta dt = 2**-106 each innovation is under 2**-53 of the
+    # stationary sd and rounds away: the path would be its start repeated
+    stream = GaussianStream(0)
+    with pytest.raises(ValueError, match=r"^theta=\S+ with dt=\S+ gives an OU "
+                       r"step .*\(need 2\*theta\*dt >= 2\*\*-106\)$"):
+        call(stream)
+    assert stream.count_drawn == 0
+
+
+def test_ou_step_at_the_rounding_limit_is_sampled():
+    stream = GaussianStream(0)
+    assert len(ou_exact_sample(2.0**-107, 1.0, 3, stream)) == 3
+    assert stream.count_drawn == 3
+
 
 # ---------------------------------------------------------------------------
 # hand-checkable recursions and closed-form values

@@ -121,78 +121,69 @@ def test_finite_psd_unsupported_models(model):
 # ---------------------------------------------------------------------------
 
 def test_plateau_beta_one():
-    report = plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01,
-                                [10.0, 20.0], 32, GaussianStream(42))
+    report = plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01, 32,
+                                GaussianStream(42))
     assert report.passed, report.detail
     assert report.plateau_estimate == pytest.approx(1.0, rel=0.05)
     assert report.plateau_target == 1.0
 
 
 def test_plateau_beta_half():
-    report = plateau_experiment(RedOuDt(0.1), 0.5, 500.0, 0.01,
-                                [10.0, 20.0], 32, GaussianStream(43))
+    report = plateau_experiment(RedOuDt(0.1), 0.5, 500.0, 0.01, 32,
+                                GaussianStream(43))
     assert report.passed, report.detail
     assert report.plateau_estimate == pytest.approx(0.25, rel=0.05)
 
 
 def test_no_martingale_part_keeps_decaying():
-    report = plateau_experiment(RedOuDt(0.1), 0.0, 500.0, 0.01,
-                                [10.0, 20.0], 32, GaussianStream(44))
+    report = plateau_experiment(RedOuDt(0.1), 0.0, 500.0, 0.01, 32,
+                                GaussianStream(44))
     assert report.passed, report.detail
     assert report.decay_slope == pytest.approx(-2.0, abs=0.2)
     # inverse-square decay: doubling the frequency quarters the power
-    ratio = report.empirical[0] / report.empirical[1]
+    ratio = report.empirical[0] / report.empirical[2]           # 10 vs 20
     assert ratio == pytest.approx(4.0, rel=0.2)
     # and the closed-form curve tracks the measurement
     np.testing.assert_allclose(report.empirical, report.theoretical, rtol=0.15)
 
 
 def test_plateau_report_bookkeeping():
-    report = plateau_experiment(RedOuDt(0.1), 1.0, 200.0, 0.01,
-                                [10.0], 32, GaussianStream(45))
+    report = plateau_experiment(RedOuDt(0.1), 1.0, 200.0, 0.01, 32,
+                                GaussianStream(45))
     assert report.replicas == 32 and report.t == 200.0 and report.dt == 0.01
     assert report.plateau_band == (10.0, 30.0)
-    assert len(report.empirical) == len(report.omegas) == 1
+    assert report.omegas.tolist() == [10.0, 15.0, 20.0, 25.0, 30.0]
+    assert len(report.empirical) == 5
     np.testing.assert_array_equal(
-        report.theoretical, finite_psd_theoretical(RedOuDt(0.1), 200.0, [10.0]) + 1.0)
+        report.theoretical,
+        finite_psd_theoretical(RedOuDt(0.1), 200.0, report.omegas) + 1.0)
     assert "plateau" in report.detail
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(replicas=31),
     dict(dt=0.05),                       # coarser than 2*pi/(10*30)
-    dict(omegas=[400.0]),                # beyond Nyquist at dt=0.01
-    dict(omegas=[]),
-    dict(omegas=[-1.0]),
-    dict(omegas=[float("nan"), 10.0]),
-    dict(omegas=[10.0, float("inf")]),
     dict(t=0.1),                         # fewer than 16 steps
     dict(beta=float("inf")),
+    dict(dt=0.021),                      # just coarser than 2*pi/300
+    dict(t=float("nan")),
+    dict(t=float("inf")),
+    dict(t=-1.0),
+    dict(beta=float("nan")),
 ])
 def test_plateau_preconditions(kwargs):
     base = dict(alpha_model=RedOuDt(0.1), beta=1.0, t=500.0, dt=0.01,
-                omegas=[10.0], replicas=32, stream=GaussianStream(46))
+                replicas=32, stream=GaussianStream(46))
     base.update(kwargs)
     with pytest.raises(ValueError):
         plateau_experiment(**base)
-
-
-@pytest.mark.parametrize("omega", [float("nan"), 0.0, -1.0])
-def test_plateau_rejects_bad_omega_naming_it(omega):
-    # NaN compares false with 0, so it is checked as not positive and finite
-    stream = GaussianStream(47)
-    with pytest.raises(ValueError,
-                       match=f"every omega must be positive and finite, got {omega}"):
-        plateau_experiment(RedOuDt(0.1), 1.0, 500.0, 0.01, [omega, 10.0], 32,
-                           stream)
-    assert stream.count_drawn == 0
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_plateau_rejects_bad_dt_before_drawing(dt):
     stream = GaussianStream(48)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        plateau_experiment(RedOuDt(0.1), 1.0, 500.0, dt, [10.0], 32, stream)
+        plateau_experiment(RedOuDt(0.1), 1.0, 500.0, dt, 32, stream)
     assert stream.count_drawn == 0
 
 
@@ -206,15 +197,15 @@ def test_overflowing_theta_rejected_by_name_before_any_draw(made_streams):
     for call, want in [
         (lambda: psd_kernel_auto(500.0, 10.0, 1e300), message("theta", 1e300)),
         (lambda: psd_kernel_cross(500.0, 10.0, 1e300), message("theta", 1e300)),
-        (lambda: plateau_experiment(RedOuDt(1e300), 1.0, 500.0, 0.01, [10.0],
-                                    32, GaussianStream(49)),
+        (lambda: plateau_experiment(RedOuDt(1e300), 1.0, 500.0, 0.01, 32,
+                                    GaussianStream(49)),
          message("theta", 1e300)),
         (lambda: finite_psd_theoretical(Mixed(0.1, 1e200), 500.0, 10.0),
          message("gamma", 1e200)),
         (lambda: theoretical_psd(Mixed(0.1, -1e200), 1.0),
          message("gamma", -1e200)),
-        (lambda: plateau_experiment(RedOuDt(0.1), 1e200, 500.0, 0.01, [10.0],
-                                    32, GaussianStream(50)),
+        (lambda: plateau_experiment(RedOuDt(0.1), 1e200, 500.0, 0.01, 32,
+                                    GaussianStream(50)),
          message("beta", 1e200)),
     ]:
         with pytest.raises(ValueError, match=want):
@@ -224,5 +215,5 @@ def test_overflowing_theta_rejected_by_name_before_any_draw(made_streams):
 
 def test_plateau_rejects_wrong_model():
     with pytest.raises(ValueError):
-        plateau_experiment(Mixed(0.1, 0.5), 1.0, 500.0, 0.01, [10.0], 32,
+        plateau_experiment(Mixed(0.1, 0.5), 1.0, 500.0, 0.01, 32,
                            GaussianStream(47))

@@ -177,7 +177,7 @@ def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
     # both simulators give the bytes and draw count of one pass over the
     # path; sigma != 1 checks where the cascade folds it into the U gain
     for chunk in (1, 2, 3, 1000, 2**22):
-        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_BLOCK", chunk)
         for sigma in (1.0, 1.7):
             for x0 in (0.0, -0.0, 0.7):
                 disc = DiscreteSystemParams(DISC.psi, DISC.phi, sigma, x0=x0)
@@ -197,12 +197,12 @@ def test_blocked_simulators_match_single_shot_oracle(monkeypatch):
 
 
 def test_simulators_hold_a_few_blocks():
-    # beyond the output, each simulator holds a few blocks of _CHUNK doubles
+    # beyond the output, each simulator holds a few blocks of _BLOCK doubles
     # at once (the draws or U, and the recursion's output, solved in place),
     # not whole paths; the exact sampler draws a pair per step, so its draws
     # fill two blocks.  The shipped block size is the one under test.
-    block = 8 * sim._CHUNK
-    assert 2**17 + 1 > 2 * sim._CHUNK            # every run spans several blocks
+    block = 8 * sim._BLOCK
+    assert 2**17 + 1 > 2 * sim._BLOCK            # every run spans several blocks
     simulate_exact(CONT, 1.0, 11, GaussianStream(0))      # import scipy first
     for run, n_out, blocks in (
             (lambda s: simulate_discrete(DISC, 2**20, s), 2**20, 2.5),

@@ -145,7 +145,7 @@ def test_band_spectrum_is_band_average_bit_for_bit(n, bw):
 def test_band_spectrum_matches_for_any_chunking(n, bw, chunk, dt):
     # small chunks put many chunk edges, and a partial last chunk, in range
     series = _series(GaussianStream(n).fill(n) * 1e3, dt)
-    with patch.object(spectral, "_BAND_CHUNK", chunk):
+    with patch.object(spectral, "_BLOCK", chunk):
         _same_bits(series, min(bw, n // 2))
 
 

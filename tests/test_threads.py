@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 import rednoise
-import rednoise.plateau as plateau
+import rednoise.figures as figures
 import rednoise.streams as streams
 from rednoise import (GaussianStream, RedOuDt, plateau_experiment, restoring_run,
                       spectra_run)
@@ -146,23 +146,24 @@ def test_plateau_experiment_has_the_bits_of_the_serial_loop(monkeypatch, threads
                                                             beta):
     model, t, dt, replicas = RedOuDt(0.1), 50.0, 0.01, 33
     children = _record_spawns(monkeypatch)
-    want, serial = oracles.plateau_powers_serial(model, beta, t, dt, replicas,
-                                                 GaussianStream(4))
+    want, want_omegas, serial = oracles.plateau_powers_serial(
+        model, beta, t, dt, replicas, GaussianStream(4))
     want_counts = [s.count_drawn for s in serial]
     assert want_counts == [2 * round(t / dt)] * replicas
     children.clear()
     seen = []
-    band_average = plateau.band_average
+    band_average = figures.band_average
 
     def spy(pg, width):
-        seen.append(pg.powers.copy())
+        seen.append((pg.omegas.copy(), pg.powers.copy()))
         return band_average(pg, width)
 
-    monkeypatch.setattr(plateau, "band_average", spy)
-    report = plateau_experiment(model, beta, t, dt, (10.0, 20.0, 30.0),
-                                replicas, GaussianStream(4))
+    monkeypatch.setattr(figures, "band_average", spy)
+    report = plateau_experiment(model, beta, t, dt, replicas, GaussianStream(4))
     assert [s.count_drawn for s in children] == want_counts
-    assert seen[0].tobytes() == want.tobytes()
+    (omegas, powers), = seen
+    assert omegas.tobytes() == want_omegas.tobytes()
+    assert powers.tobytes() == want.tobytes()
     assert np.isfinite(report.plateau_estimate)
 
 
@@ -292,7 +293,7 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("target, argv", [
     ("rednoise.figures.simulate_exact", ("fig2", "--n", "20000")),
-    ("rednoise.plateau.ou_exact_sample", ("theorem", "--quick")),
+    ("rednoise.figures.increments", ("theorem", "--quick")),
     ("rednoise.figures.increments",
      ("fig1", "--n", "200000", "--band-width", "10")),
 ])
