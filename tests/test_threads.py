@@ -293,7 +293,8 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("target, argv", [
     ("rednoise.figures.simulate_exact", ("fig2", "--n", "20000")),
-    ("rednoise.figures.increments", ("theorem", "--quick")),
+    pytest.param("rednoise.figures.increments", ("theorem", "--quick"),
+                 id="theorem"),
     ("rednoise.figures.increments",
      ("fig1", "--n", "200000", "--band-width", "10")),
 ])
