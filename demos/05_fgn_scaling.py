@@ -12,7 +12,7 @@ through periodogram noise and the mild curvature of the discrete spectrum.
 
 import numpy as np
 
-from rednoise import (Fgn, GaussianStream, band_average, fgn_sample,
+from rednoise import (Fgn, GaussianStream, band_average, increments,
                       loglog_slope, periodogram, theoretical_psd)
 
 try:
@@ -29,7 +29,7 @@ fit_lo, fit_hi = 0.01, 0.3
 print(f"{'H':>5s} {'fitted slope':>13s} {'1-2H':>7s}")
 curves = {}
 for hurst in (0.3, 0.5, 0.6, 0.7, 0.8):
-    incr = fgn_sample(hurst, 1.0, n, GaussianStream(0))
+    incr = increments(Fgn(hurst), 1.0, n, GaussianStream(0))
     avg = band_average(periodogram(incr), band_width)
     slope, _ = loglog_slope(avg, fit_lo, fit_hi)
     curves[hurst] = avg

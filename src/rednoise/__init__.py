@@ -6,8 +6,8 @@ analysis — all driven by seeded, reproducible Gaussian streams.
 """
 
 from .models import (Ar1Driven, DiffU, Fgn, Mixed, NoiseModel, RedOuDt, White,
-                     fgn_increment_cov, fgn_sample, finite_psd_theoretical,
-                     increments, ou_autocov, ou_exact_sample, ou_increment_cov,
+                     fgn_increment_cov, finite_psd_theoretical, increments,
+                     ou_autocov, ou_exact_sample, ou_increment_cov,
                      parse_model, psd_kernel_auto, psd_kernel_cross,
                      theoretical_psd)
 from .series import TimeSeries, load_values, save_series, write_csv
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ar1Driven", "DiffU", "Fgn", "Mixed", "NoiseModel", "RedOuDt", "White",
-    "fgn_increment_cov", "fgn_sample", "increments", "ou_autocov",
+    "fgn_increment_cov", "increments", "ou_autocov",
     "ou_exact_sample", "ou_increment_cov", "parse_model", "theoretical_psd",
     "finite_psd_theoretical", "psd_kernel_auto", "psd_kernel_cross",
     "TimeSeries", "load_values", "save_series", "write_csv",

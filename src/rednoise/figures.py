@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (DiffU, Mixed, NoiseModel, RedOuDt, White,
-                     finite_psd_theoretical, increments, theoretical_psd)
+                     _check_sampling, finite_psd_theoretical, increments,
+                     theoretical_psd)
 from .series import (TimeSeries, _check_finite, _check_n, _check_positive,
                      _check_square)
 from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
@@ -92,9 +93,8 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     serial run.  A slope window holding fewer than 8 band centres is
     rejected before any draw.
     """
-    n = _check_n(n)
+    dt, n = _check_sampling(White(), dt, n)
     band_width = _check_band_width(band_width, n // 2)
-    dt = _check_positive(dt, "dt")
     nyquist = np.pi / dt
     if nyquist * nyquist == np.inf:
         raise ValueError(f"dt={dt} too small: (pi/dt)**2 overflows")
@@ -113,6 +113,8 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
              ("red", RedOuDt(theta)),
              ("du", DiffU(theta)),
              ("mixed", Mixed(theta, gamma)))
+    for _, model in cases:
+        _check_sampling(model, dt, n)
 
     def compare(job):
         (name, model), child = job
@@ -260,7 +262,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     """
     if not isinstance(alpha_model, RedOuDt):
         raise ValueError(f"alpha_model must be RedOuDt, got {type(alpha_model).__name__}")
-    beta = _check_square(_check_finite(beta, "beta"), "beta")
+    beta = _check_square(_check_finite(beta, "beta"), "beta", nonzero=True)
     t = _check_positive(t, "T")
     dt = _check_positive(dt, "dt")
     replicas = _check_n(replicas, "replicas", least=32)
@@ -271,9 +273,12 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
             f"dt={dt} too coarse for max frequency {hi:.3g} "
             "(need dt <= 2*pi/(10*max omega))")
 
-    n = int(round(t / dt))
+    # t/dt may overflow to inf; no array holds 2**63 steps, which the
+    # pre-flight below rejects by T and dt
+    n = int(round(min(t / dt, 2.0**63)))
     if n < 16:
         raise ValueError(f"horizon T={t} at dt={dt} gives only {n} steps")
+    _check_sampling(alpha_model, dt, n, f"horizon T={t} at dt={dt}")
     omegas = np.array(_PLATEAU_OMEGAS)
     theoretical = finite_psd_theoretical(alpha_model, t, omegas) + beta * beta
     grid = _band_omegas(n, dt, 1)

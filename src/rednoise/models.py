@@ -28,6 +28,7 @@ documented order, so every sampler is reproducible from its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -35,20 +36,22 @@ import numpy as np
 
 from ._scipy import extension
 from .series import (_BLOCK, _TINY, TimeSeries, _check_finite, _check_fraction,
-                     _check_n, _check_ou_step, _check_positive, _check_rate,
-                     _check_square)
+                     _check_n, _check_positive, _check_rate, _check_square)
 from .spectral import _halfcomplex
 from .streams import GaussianStream
 
 __all__ = [
     "White", "RedOuDt", "DiffU", "Mixed", "Ar1Driven", "Fgn", "NoiseModel",
-    "ou_exact_sample", "ou_autocov", "ou_increment_cov", "fgn_sample",
-    "fgn_increment_cov", "increments", "theoretical_psd", "psd_kernel_auto",
-    "psd_kernel_cross", "finite_psd_theoretical", "parse_model",
+    "ou_exact_sample", "ou_autocov", "ou_increment_cov", "fgn_increment_cov",
+    "increments", "theoretical_psd", "psd_kernel_auto", "psd_kernel_cross",
+    "finite_psd_theoretical", "parse_model",
 ]
 
 # exp(-x) is subnormal (or zero) for x beyond _LOG_TINY, about 708.4.
 _LOG_TINY = -np.log(_TINY)
+
+# Bytes in the largest array numpy can make.
+_MAX_BYTES = np.iinfo(np.intp).max
 
 # Points per BLAS solve in _ar1_recursion; its band is 2 x _AR1_BLOCK
 # doubles (64 KB).
@@ -171,6 +174,64 @@ def _stationary_start(scale: float, root: float, n: int,
     return y
 
 
+def _check_sampling(model: NoiseModel, dt: float, n: int,
+                    what: str | None = None) -> tuple[float, int]:
+    """Every precondition of sampling ``n`` increments of ``model`` at step
+    ``dt``, checked before any draw; returns ``(dt, n)`` as float and int.
+
+    A count whose working array (n values, n+1 for ``DiffU`` and ``Mixed``,
+    2n for ``Fgn``) no array can hold is named as ``what`` (``n=<n>``).
+    """
+    dt = _check_positive(dt, "dt")
+    n = _check_n(n)
+    if not isinstance(model, NoiseModel):
+        raise TypeError(f"not a noise model: {model!r}")
+    size = 2 * n if isinstance(model, Fgn) else n + isinstance(model, (DiffU, Mixed))
+    if 8 * size > _MAX_BYTES:
+        raise ValueError(f"{what or f'n={n}'} gives a working array larger "
+                         f"than the {_MAX_BYTES} bytes an array can hold")
+    if isinstance(model, (RedOuDt, DiffU, Mixed)):
+        theta = float(model.theta)
+        if isinstance(model, Mixed) and theta * dt >= 1.0:
+            # the Euler coefficient 1 - theta*dt would be <= 0: U alternates
+            # in sign (and diverges from theta*dt = 2)
+            raise ValueError("Mixed advances U by Euler and needs theta*dt < 1, "
+                             f"got theta*dt={theta * dt}")
+        # An OU step moves the path by about sqrt(2 theta dt) stationary sds;
+        # below 2 theta dt = 2**-106 that is under 2**-53 of one, so every
+        # step rounds back to the start and the path is a constant.
+        if 2.0 * theta * dt < 2.0**-106:
+            raise ValueError(
+                f"theta={model.theta} with dt={dt} gives an OU step whose "
+                "innovation is below 2**-53 of the stationary sd, lost in "
+                "rounding (need 2*theta*dt >= 2**-106)")
+    if isinstance(model, (RedOuDt, Mixed)):
+        # U has sd at most 1/sqrt(theta), so the increment gamma U dt (+ dW
+        # for mixed; gamma = 1 for red) has sd below `sd`; a normal value
+        # beyond 16 sd has probability under 1e-57
+        mixed = isinstance(model, Mixed)
+        gamma = abs(float(model.gamma)) if mixed else 1.0
+        sd = gamma * dt / math.sqrt(model.theta) + math.sqrt(dt)
+        if 16.0 * sd == math.inf:
+            names = f"theta={model.theta}" + (f", gamma={model.gamma}" if mixed else "")
+            raise ValueError(f"{names} with dt={dt} gives increments beyond the "
+                             "float64 range (16 sd of the drift overflows)")
+    # the continuum scaling of AR(1) noise is not well defined
+    if isinstance(model, Ar1Driven) and dt != 1.0:
+        raise ValueError(
+            "Ar1Driven increments are defined only on the unit grid (dt=1); "
+            f"got dt={dt}")
+    return dt, n
+
+
+def _ou_path(theta: float, dt: float, n: int, stream: GaussianStream) -> np.ndarray:
+    """The stationary OU path at ``n`` grid points, solved in one ``fill(n)``."""
+    coeff = np.exp(-theta * dt)
+    scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    y = _stationary_start(scale, np.sqrt(2.0 * theta), n, stream)
+    return _ar1_recursion(coeff, y)
+
+
 def ou_exact_sample(theta: float, dt: float, n: int,
                     stream: GaussianStream) -> TimeSeries:
     """Sample the stationary OU process exactly on a grid of step ``dt``.
@@ -183,38 +244,27 @@ def ou_exact_sample(theta: float, dt: float, n: int,
     ``2 theta dt < 2**-106``, whose innovations would round away, is
     rejected before any draw.
     """
-    _check_rate(theta, "theta")
-    dt = _check_positive(dt, "dt")
-    n = _check_n(n)
-    _check_ou_step(theta, dt)
-    coeff = np.exp(-theta * dt)
-    scale = np.sqrt(-np.expm1(-2.0 * theta * dt) / (2.0 * theta))
-    y = _stationary_start(scale, np.sqrt(2.0 * theta), n, stream)
-    return TimeSeries(dt=dt, values=_ar1_recursion(coeff, y))
+    # the path of DiffU, whose checks it takes (DiffU's working array holds
+    # one value more, which matters only at the largest n)
+    dt, n = _check_sampling(DiffU(theta), dt, n)
+    return TimeSeries(dt=dt, values=_ou_path(theta, dt, n, stream))
 
 
-def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeSeries:
-    """Sample fractional Gaussian noise exactly by circulant embedding.
+def _fgn_values(hurst: float, dt: float, n: int, stream: GaussianStream) -> np.ndarray:
+    """``n`` fractional Gaussian noise increments, exact by circulant
+    embedding, from ``2n`` draws.
 
-    Returns ``n`` stationary increments of fractional Brownian motion over
-    steps of length ``dt``; each is N(0, dt^(2H)) marginally with lag-m
-    covariance ``fgn_increment_cov(hurst, dt, m)``.  The 2n-point circulant
-    embedding of this covariance is nonnegative definite for every n and H
-    (Dietrich & Newsam 1997; Craigmile 2003), so every ``n >= 1`` takes
-    exactly ``2n`` draws; a negative eigenvalue beyond rounding raises
-    ``RuntimeError``.  Working memory is one array of 2n values, transformed
-    in place (:func:`~rednoise.spectral._halfcomplex`): it holds the first
-    row (filled in ``_BLOCK``-point blocks), then its n+1 real eigenvalues
-    in the halfcomplex real slots, then the half spectrum written over them
-    block by block, then the real sample.  The bits are those of numpy's
-    ``rfft`` and ``irfft`` of whole arrays.  The result is a copy of the
-    first n values, so the caller holds n values, not the 2n-point
-    workspace; the copy is made after pocketfft's scratch is freed and stays
-    below the transform's peak.
+    The 2n-point embedding of ``fgn_increment_cov`` is nonnegative definite
+    for every n and H (Dietrich & Newsam 1997; Craigmile 2003); a negative
+    eigenvalue beyond rounding raises ``RuntimeError``.  Working memory is
+    one array of 2n values, transformed in place
+    (:func:`~rednoise.spectral._halfcomplex`): the first row (filled in
+    ``_BLOCK``-point blocks), then its n+1 real eigenvalues in the
+    halfcomplex real slots, then the half spectrum written over them block
+    by block, then the real sample, with the bits of numpy's ``rfft`` and
+    ``irfft`` of whole arrays.  The result is a copy of the first n values,
+    made after pocketfft's scratch is freed, below the transform's peak.
     """
-    _check_fraction(hurst, "hurst")
-    dt = _check_positive(dt, "dt")
-    n = _check_n(n)
     m2 = 2 * n
     y = np.empty(m2)              # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
     for a in range(0, n + 1, _BLOCK):
@@ -244,7 +294,7 @@ def fgn_sample(hurst: float, dt: float, n: int, stream: GaussianStream) -> TimeS
         y[re] = half * z[::2]
         y[im] = half * z[1::2]
     _halfcomplex(y, False)        # the bins carry the 1/m2
-    return TimeSeries(dt=dt, values=y[:n] * dt**hurst)
+    return y[:n] * dt**hurst
 
 
 # ---------------------------------------------------------------------------
@@ -329,40 +379,31 @@ def increments(model: NoiseModel, dt: float, n: int,
       ``U_0`` first, then the innovations.
     - ``Mixed``: the stationary ``U_0`` first, then the n Brownian
       increments; U is advanced by explicit Euler with the *same* increments
-      that appear in dY (the coupling is the point of this model).  Needs
-      ``theta*dt < 1``, so that the Euler coefficient stays positive, and
-      ``2 theta dt >= 2**-106``, as ``ou_exact_sample`` does.
+      that appear in dY (the coupling is the point of this model).
     - ``Ar1Driven``: the stationary AR(1) path ``eps_{k+1} = phi eps_k + z_k``,
-      ``eps_0 ~ N(0, 1/(1-phi^2))`` first, then n-1 innovations; only
-      ``dt == 1`` is accepted because the continuum scaling of AR(1) noise
-      is not well defined.
+      ``eps_0 ~ N(0, 1/(1-phi^2))`` first, then n-1 innovations.
     - ``Fgn``: 2n draws (circulant embedding).
+
+    Every precondition (:func:`_check_sampling`; ``theta*dt < 1`` for
+    ``Mixed``, ``dt == 1`` for ``Ar1Driven``) holds before the first draw.
     """
-    dt = _check_positive(dt, "dt")
-    n = _check_n(n)
+    dt, n = _check_sampling(model, dt, n)
 
     # Each sampler but Fgn forms dY in the array it drew, in place.
     if isinstance(model, White):
         values = stream.fill(n)
         values *= np.sqrt(dt)
     elif isinstance(model, RedOuDt):
-        values = ou_exact_sample(model.theta, dt, n, stream).values
+        values = _ou_path(model.theta, dt, n, stream)
         values *= dt
     elif isinstance(model, DiffU):
-        u = ou_exact_sample(model.theta, dt, n + 1, stream).values
+        u = _ou_path(model.theta, dt, n + 1, stream)
         # dY_k = U_{k+1} - U_k, formed front to back in U's array
         for a in range(0, n, _BLOCK):
             b = min(a + _BLOCK, n)
             np.subtract(u[a + 1:b + 1], u[a:b], out=u[a:b])
         values = u[:n]
     elif isinstance(model, Mixed):
-        if model.theta * dt >= 1.0:
-            # the Euler coefficient 1 - theta*dt would be <= 0: U alternates
-            # in sign (and diverges from theta*dt = 2)
-            raise ValueError(
-                "Mixed advances U by Euler and needs theta*dt < 1, "
-                f"got theta*dt={model.theta * dt}")
-        _check_ou_step(model.theta, dt)
         u = _stationary_start(np.sqrt(dt), np.sqrt(2.0 * model.theta), n + 1,
                               stream)
         # U_{k+1} = (1 - theta dt) U_k + dW_k; dY_k = (gamma U_k) dt + dW_k
@@ -377,16 +418,10 @@ def increments(model: NoiseModel, dt: float, n: int,
             block += dw
         values = u[:n]
     elif isinstance(model, Ar1Driven):
-        if dt != 1.0:
-            raise ValueError(
-                "Ar1Driven increments are defined only on the unit grid (dt=1); "
-                f"got dt={dt}")
         y = _stationary_start(1.0, np.sqrt(1.0 - model.phi * model.phi), n, stream)
         values = _ar1_recursion(model.phi, y)
-    elif isinstance(model, Fgn):
-        return fgn_sample(model.hurst, dt, n, stream)
     else:
-        raise TypeError(f"not a noise model: {model!r}")
+        values = _fgn_values(model.hurst, dt, n, stream)
     return TimeSeries(dt=dt, values=values)
 
 

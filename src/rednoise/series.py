@@ -25,7 +25,7 @@ __all__ = [
 
 
 # Points per working block wherever a pass over a long array is split to cap
-# its temporaries: the finiteness mask here, fgn_sample's workspace and the
+# its temporaries: the finiteness mask here, the fGn workspace and the
 # DiffU and Mixed increments (models), the simulators' steps (simulate) and
 # the band spectrum's chunks of bins (spectral).  Each module imports it by
 # name, so a test can set one module's block alone.
@@ -77,27 +77,13 @@ def _check_rate(x, name: str) -> float:
     return x
 
 
-def _check_square(x, name: str) -> float:
+def _check_square(x, name: str, nonzero: bool = False) -> float:
     x = float(x)
     if x * x == np.inf:
         raise ValueError(f"{name}={x} too large: {name}**2 overflows")
+    if nonzero and x != 0.0 and x * x == 0.0:
+        raise ValueError(f"{name}={x} too small: {name}**2 underflows to 0")
     return x
-
-
-def _check_ou_step(theta: float, dt: float) -> None:
-    """Reject an OU step whose innovation is lost in rounding.
-
-    Over a step ``dt`` the stationary OU path moves by an innovation whose
-    sd is ``sqrt(1 - exp(-2 theta dt))``, about ``sqrt(2 theta dt)``, times
-    the stationary sd.  Below ``2 theta dt = 2**-106`` that is under 2**-53
-    of the stationary sd, so every step rounds back to the start and the
-    path is a constant.
-    """
-    if 2.0 * theta * dt < 2.0**-106:
-        raise ValueError(
-            f"theta={theta} with dt={dt} gives an OU step whose innovation "
-            "is below 2**-53 of the stationary sd, lost in rounding "
-            "(need 2*theta*dt >= 2**-106)")
 
 
 def _check_fraction(x, name: str) -> float:

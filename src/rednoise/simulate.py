@@ -45,7 +45,7 @@ class DiscreteSystemParams:
     def __post_init__(self):
         _check_fraction(self.psi, "psi")
         _check_fraction(self.phi, "phi")
-        _check_square(_check_positive(self.sigma, "sigma"), "sigma")
+        _check_square(_check_positive(self.sigma, "sigma"), "sigma", nonzero=True)
         _check_finite(self.x0, "x0")
 
 
@@ -61,7 +61,7 @@ class ContinuousSystemParams:
     def __post_init__(self):
         _check_rate(self.lam, "lam")
         _check_rate(self.theta, "theta")
-        _check_square(_check_positive(self.sigma, "sigma"), "sigma")
+        _check_square(_check_positive(self.sigma, "sigma"), "sigma", nonzero=True)
         _check_finite(self.x0, "x0")
 
 

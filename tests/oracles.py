@@ -194,11 +194,12 @@ def fgn_cov_series(hurst: float, k) -> np.ndarray:
 def fgn_sample_reference(hurst: float, dt: float, n: int, stream) -> np.ndarray:
     """Circulant-embedding fGn sampler written with full-length arrays.
 
-    The straightforward form of ``rednoise.fgn_sample``: the first row, its
-    ``rfft`` and the half spectrum are each built whole, and one ``irfft``
-    gives the sample.  It takes the same draws from ``stream`` in the same
-    order and does the same floating-point operations, so the package's
-    blocked sampler must return the same bytes.  Returns the ``n`` values.
+    The straightforward form of ``increments(Fgn(hurst), ...)``: the first
+    row, its ``rfft`` and the half spectrum are each built whole, and one
+    ``irfft`` gives the sample.  It takes the same draws from ``stream`` in
+    the same order and does the same floating-point operations, so the
+    package's blocked sampler must return the same bytes.  Returns the ``n``
+    values.
     """
     two_h = 2.0 * hurst
     k = np.arange(n + 1, dtype=np.float64)

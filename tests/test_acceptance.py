@@ -33,7 +33,7 @@ import pytest
 import oracles
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU, Fgn,
                       GaussianStream, Mixed, RedOuDt, White, band_average,
-                      fgn_sample, increments, loglog_slope, ou_exact_sample,
+                      increments, loglog_slope, ou_exact_sample,
                       periodogram, plateau_experiment, psd_kernel_auto,
                       psd_kernel_cross, restoring_run, simulate_discrete,
                       simulate_exact, spectra_run, stationary_autocorr,
@@ -212,7 +212,7 @@ def test_criterion_7_negative_increment_covariance():
 def test_criterion_8_fgn_spectral_exponent():
     slopes = {}
     for hurst in (0.5, 0.6, 0.7, 0.8):
-        incr = fgn_sample(hurst, 1.0, 2 ** 21, GaussianStream(0))
+        incr = increments(Fgn(hurst), 1.0, 2 ** 21, GaussianStream(0))
         avg = band_average(periodogram(incr), 1000)
         slopes[hurst] = loglog_slope(avg, 0.01, 0.3)
         if hurst == 0.5:

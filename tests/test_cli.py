@@ -310,6 +310,15 @@ def test_swamped_ou_step_exits_2_naming_theta_and_dt(tmp_path, capsys, model):
     assert err.count("\n") == 1
 
 
+def test_subnormal_sigma_square_still_runs_fig2(tmp_path, capsys):
+    # sigma**2 = 1e-320 is subnormal, not 0: the run is scale-free and passes
+    code, out, err = run(capsys, "fig2", "--quick", "--sigma", "1e-160",
+                         "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(
+        "PASS fig2 discrete=0.0090 continuous=0.0148 tol=0.03")
+
+
 def test_ou_step_above_the_rounding_limit_is_generated(tmp_path, capsys):
     out_path = tmp_path / "x.csv"
     code, out, err = run(capsys, "generate", "--model", "model=du theta=1e-30",
@@ -485,7 +494,7 @@ def test_theorem_negative_control_fails(capsys):
 @pytest.mark.filterwarnings("error")
 def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
                                                             made_streams):
-    # each squared argument is checked by name before any draw
+    # each squared argument, step and count is checked by name before any draw
     for argv, cause in [
         (("theorem", "--quick", "--theta", "1e300"),
          "theta=1e+300 too large: theta**2 overflows"),
@@ -502,6 +511,35 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
         (("fig1", "--quick", "--dt", "1e-150", "--out", str(tmp_path / "f")),
          "dt=1e-150 puts only 0 band centres in the slope window [1.0, 10.0] "
          "(n=2097152, band_width=1000); need at least 8"),
+        # a nonzero beta or sigma whose square underflows to 0
+        (("theorem", "--quick", "--beta", "1e-200"),
+         "beta=1e-200 too small: beta**2 underflows to 0"),
+        (("fig2", "--quick", "--sigma", "1e-300", "--out", str(tmp_path / "f")),
+         "sigma=1e-300 too small: sigma**2 underflows to 0"),
+        # counts whose working array no array can hold (none is allocated)
+        (("theorem", "--quick", "--dt", "1e-300"),
+         "horizon T=500.0 at dt=1e-300 gives a working array larger than the "
+         "9223372036854775807 bytes an array can hold"),
+        (("generate", "--model", "model=white", "--n", "100000000000000000000",
+          "--out", str(tmp_path / "f")),
+         "n=100000000000000000000 gives a working array larger than the "
+         "9223372036854775807 bytes an array can hold"),
+        (("generate", "--model", "model=white", "--n", "4000000000000000000",
+          "--out", str(tmp_path / "f")),
+         "n=4000000000000000000 gives a working array larger than the "
+         "9223372036854775807 bytes an array can hold"),
+        (("fig1", "--n", "100000000000000000000", "--out", str(tmp_path / "f")),
+         "n=100000000000000000000 gives a working array larger than the "
+         "9223372036854775807 bytes an array can hold"),
+        # theta*dt = 0.1, but U dt has sd dt/sqrt(2 theta) = 2e450
+        (("generate", "--model", "model=red theta=1e-301", "--dt", "1e300",
+          "--n", "10", "--out", str(tmp_path / "f")),
+         "theta=1e-301 with dt=1e+300 gives increments beyond the float64 "
+         "range (16 sd of the drift overflows)"),
+        (("generate", "--model", "model=mixed theta=1e-301 gamma=0.5", "--dt",
+          "1e300", "--n", "10", "--out", str(tmp_path / "f")),
+         "theta=1e-301, gamma=0.5 with dt=1e+300 gives increments beyond the "
+         "float64 range (16 sd of the drift overflows)"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {cause}\n")

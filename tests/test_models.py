@@ -1,9 +1,10 @@
+import dataclasses
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -11,12 +12,12 @@ import rednoise.models as models
 from conftest import StubStream
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
-                      TimeSeries, White, band_average,
-                      empirical_acf, fgn_increment_cov, fgn_sample,
-                      increments, ou_autocov, ou_exact_sample,
-                      ou_increment_cov, parse_model, periodogram,
-                      plateau_experiment, restoring_run, simulate_discrete,
-                      simulate_exact, spectra_run, theoretical_psd)
+                      TimeSeries, White, band_average, empirical_acf,
+                      fgn_increment_cov, increments, ou_autocov,
+                      ou_exact_sample, ou_increment_cov, parse_model,
+                      periodogram, plateau_experiment, restoring_run,
+                      simulate_discrete, simulate_exact, spectra_run,
+                      theoretical_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_bad_step_rejected_before_any_draw(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         ou_increment_cov(0.1, dt, [5.0])
     for sample in (lambda s: ou_exact_sample(0.1, dt, 5, s),
-                   lambda s: fgn_sample(0.7, dt, 5, s),
+                   lambda s: increments(Fgn(0.7), dt, 5, s),
                    lambda s: increments(RedOuDt(0.1), dt, 5, s)):
         stream = GaussianStream(0)
         with pytest.raises(ValueError, match="dt must be positive"):
@@ -101,7 +102,7 @@ _RAMP = TimeSeries(1.0, np.arange(100.0))
 @pytest.mark.parametrize("name, least, count", [
     ("n", 1, lambda n, s: increments(Ar1Driven(0.9), 1.0, n, s)),
     ("n", 1, lambda n, s: ou_exact_sample(0.1, 1.0, n, s)),
-    ("n", 1, lambda n, s: fgn_sample(0.7, 1.0, n, s)),
+    ("n", 1, lambda n, s: increments(Fgn(0.7), 1.0, n, s)),
     ("n", 1, lambda n, s: increments(White(), 1.0, n, s)),
     ("n", 1, lambda n, s: simulate_discrete(DiscreteSystemParams(0.8, 0.9, 1.0), n, s)),
     ("n_out", 1,
@@ -173,6 +174,46 @@ def test_ou_step_at_the_rounding_limit_is_sampled():
     stream = GaussianStream(0)
     assert len(ou_exact_sample(2.0**-107, 1.0, 3, stream)) == 3
     assert stream.count_drawn == 3
+
+
+# Hostile values for dt and for every model field: 0, +-tiny (the smallest
+# normal), subnormals, 1e+-150, 1e+-300, nan, inf and 1 - 2**-53; with 1 (the
+# unit grid Ar1Driven needs) and 0.1 so that each family also samples.
+_HOSTILE = st.sampled_from([
+    0.0, np.finfo(float).tiny, -np.finfo(float).tiny, 5e-324, 1e-310, 1e-150,
+    1e150, 1e-300, 1e300, float("nan"), float("inf"), 1.0 - 2.0**-53, 1.0,
+    0.1])
+_DRAWS = {White: lambda n: n, RedOuDt: lambda n: n, DiffU: lambda n: n + 1,
+          Mixed: lambda n: n + 1, Ar1Driven: lambda n: n, Fgn: lambda n: 2 * n}
+
+
+@st.composite
+def _hostile_models(draw):
+    family = draw(st.sampled_from(list(_DRAWS)))
+    values = [draw(_HOSTILE) for _ in dataclasses.fields(family)]
+    try:
+        return family(*values)
+    except ValueError:
+        reject()
+
+
+@given(model=_hostile_models(), dt=_HOSTILE, n=st.integers(1, 64))
+@settings(max_examples=400, deadline=None)
+def test_the_preflight_decides_before_the_first_draw(model, dt, n):
+    # what _check_sampling rejects, increments rejects with the same message
+    # before any draw; what it accepts, increments samples with exactly the
+    # documented draws, into finite values (and no warning, as tests treat
+    # RuntimeWarnings as errors)
+    stream = GaussianStream(0)
+    try:
+        models._check_sampling(model, dt, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^" + re.escape(str(exc)) + "$"):
+            increments(model, dt, n, stream)
+        assert stream.count_drawn == 0
+        return
+    assert len(increments(model, dt, n, stream)) == n
+    assert stream.count_drawn == _DRAWS[type(model)](n)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +397,7 @@ def test_diffu_increment_covariance():
 
 
 def test_fgn_half_is_white():
-    incr = fgn_sample(0.5, 0.1, 1_000_000, GaussianStream(7))
+    incr = increments(Fgn(0.5), 0.1, 1_000_000, GaussianStream(7))
     x = incr.values
     lag1 = np.mean(x[:-1] * x[1:]) / x.var()
     assert abs(lag1) < 0.004
@@ -364,7 +405,7 @@ def test_fgn_half_is_white():
 
 
 def test_fgn_variance_and_lag1_cov():
-    incr = fgn_sample(0.7, 1.0, 1_000_000, GaussianStream(8))
+    incr = increments(Fgn(0.7), 1.0, 1_000_000, GaussianStream(8))
     x = incr.values
     assert x.var() == pytest.approx(1.0, rel=0.02)
     lag1 = np.mean(x[:-1] * x[1:]) - x.mean() ** 2
@@ -372,7 +413,7 @@ def test_fgn_variance_and_lag1_cov():
 
 
 def test_fgn_deep_lag_covariances():
-    incr = fgn_sample(0.8, 1.0, 2_000_000, GaussianStream(9))
+    incr = increments(Fgn(0.8), 1.0, 2_000_000, GaussianStream(9))
     x = incr.values - incr.values.mean()
     for m in (1, 2, 5, 10):
         est = np.mean(x[:-m] * x[m:])
@@ -389,7 +430,7 @@ def test_fgn_sample_matches_full_length_reference(n, hurst):
     for dt in (1.0, 0.5):
         for seed in (0, 5):
             stream, ref_stream = GaussianStream(seed), GaussianStream(seed)
-            got = fgn_sample(hurst, dt, n, stream).values
+            got = increments(Fgn(hurst), dt, n, stream).values
             want = oracles.fgn_sample_reference(hurst, dt, n, ref_stream)
             assert got.tobytes() == want.tobytes()
             assert stream.count_drawn == ref_stream.count_drawn == 2 * n
@@ -410,14 +451,14 @@ def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
     monkeypatch.setattr(models, "_halfcomplex", broken)
     with pytest.raises(RuntimeError,
                        match=rf"not nonnegative definite for H=0\.7, n={n}"):
-        fgn_sample(0.7, 1.0, n, GaussianStream(3))
+        increments(Fgn(0.7), 1.0, n, GaussianStream(3))
 
 
 def test_fgn_sample_large_n():
     # the direct covariance lost enough digits to make the embedding
     # indefinite at H=0.9 from n of about 3e6
     stream = GaussianStream(0)
-    incr = fgn_sample(0.9, 1.0, 3_000_000, stream)
+    incr = increments(Fgn(0.9), 1.0, 3_000_000, stream)
     assert len(incr) == 3_000_000
     assert stream.count_drawn == 6_000_000
 
@@ -428,10 +469,10 @@ def test_fgn_sample_traced_peak_per_sample():
     # this n); pocketfft's scratch is not traced (43 at the parent, on
     # numpy's out-of-place FFTs)
     n = 2**20
-    fgn_sample(0.9, 1.0, 2, GaussianStream(0))        # loads the FFT extension
+    increments(Fgn(0.9), 1.0, 2, GaussianStream(0))   # loads the FFT extension
     tracemalloc.start()
     try:
-        out = fgn_sample(0.9, 1.0, n, GaussianStream(1)).values
+        out = increments(Fgn(0.9), 1.0, n, GaussianStream(1)).values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

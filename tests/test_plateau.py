@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from rednoise import (Ar1Driven, DiffU, Fgn, GaussianStream, Mixed, RedOuDt,
                       White, finite_psd_theoretical, plateau_experiment,
-                      psd_kernel_auto, psd_kernel_cross, theoretical_psd)
+                      psd_kernel_auto, psd_kernel_cross, spectra_run,
+                      theoretical_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,14 @@ def test_overflowing_theta_rejected_by_name_before_any_draw(made_streams):
         (lambda: plateau_experiment(RedOuDt(0.1), 1e200, 500.0, 0.01, 32,
                                     GaussianStream(50)),
          message("beta", 1e200)),
+        # every model's sampling rules are checked before the first substream
+        # is spawned, so Mixed's Euler step and red's OU step fail before
+        # the models ahead of them draw
+        (lambda: spectra_run(theta=20, n=200000, band_width=10),
+         "^" + re.escape("Mixed advances U by Euler and needs theta*dt < 1, "
+                         "got theta*dt=2.0") + "$"),
+        (lambda: spectra_run(theta=1e-300, n=200000, band_width=10),
+         r"^theta=1e-300 with dt=0\.1 gives an OU step "),
     ]:
         with pytest.raises(ValueError, match=want):
             call()

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from rednoise import spectral
-from rednoise import (Ar1Driven, AvgSpectrum, DiffU, GaussianStream, Mixed,
-                      RedOuDt, TimeSeries, White, band_average, empirical_acf,
-                      fgn_sample, increments, loglog_slope, periodogram)
+from rednoise import (Ar1Driven, AvgSpectrum, DiffU, Fgn, GaussianStream,
+                      Mixed, RedOuDt, TimeSeries, White, band_average,
+                      empirical_acf, increments, loglog_slope, periodogram)
 
 
 def _series(values, dt=1.0):
@@ -338,7 +338,7 @@ def test_slope_red_noise_inverse_square():
 
 
 def test_slope_fgn_mid_band():
-    incr = fgn_sample(0.7, 1.0, 2 ** 18, GaussianStream(11))
+    incr = increments(Fgn(0.7), 1.0, 2 ** 18, GaussianStream(11))
     avg = band_average(periodogram(incr), 256)
     slope, _ = loglog_slope(avg, 0.01 * np.pi, 0.3 * np.pi)
     assert slope == pytest.approx(-0.4, abs=0.05)
