@@ -26,7 +26,8 @@ from .figures import plateau_experiment, restoring_run, spectra_run
 from .models import RedOuDt, increments, parse_model
 from .series import (FORMATS, TimeSeries, _check_n, _read_csv, load_values,
                      save_series, write_csv)
-from .spectral import AvgSpectrum, _band_spectrum, empirical_acf, loglog_slope
+from .spectral import (AvgSpectrum, _band_spectrum, _pairwise_mean,
+                       _pairwise_var, empirical_acf, loglog_slope)
 from .streams import GaussianStream
 
 __all__ = ["main", "cmd_generate", "cmd_psd", "cmd_acf", "cmd_slope",
@@ -105,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "fig1", help="spectra of the four benchmark noise differentials")
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=20_000_000)
+    p.add_argument("--n", type=int, default=None,
+                   help="points per model (default 20000000)")
     p.add_argument("--dt", type=float, default=0.1)
     p.add_argument("--band-width", type=int, default=1000)
     p.add_argument("--seed", type=int, default=FIG1_SEED)
@@ -119,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=float, default=0.8)
     p.add_argument("--phi", type=float, default=0.9)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=20_000_000)
+    p.add_argument("--n", type=int, default=None,
+                   help="steps per system (default 20000000)")
     p.add_argument("--max-lag", type=int, default=20)
     p.add_argument("--seed", type=int, default=FIG2_SEED)
     p.add_argument("--out", default=".", help="output directory")
@@ -131,9 +134,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "theorem", help="high-frequency plateau of drift + Brownian noise")
     p.add_argument("--theta", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--T", type=float, dest="horizon", default=1000.0)
+    p.add_argument("--T", type=float, dest="horizon", default=None,
+                   help="time horizon (default 1000)")
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--replicas", type=int, default=64)
+    p.add_argument("--replicas", type=int, default=None,
+                   help="replicas (default 64)")
     p.add_argument("--seed", type=int, default=THEOREM_SEED)
     p.add_argument("--out", default=None, help="output CSV")
     p.add_argument("--quick", action="store_true",
@@ -149,14 +154,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     incr = increments(model, args.dt, args.n, GaussianStream(args.seed))
-    # both statistics come before the file, so an overflow writes nothing
+    # both statistics come before the file, so a failure writes nothing;
+    # they have numpy's bits, without np.var's centered copy
     stats = []
-    for name, stat in (("mean", np.mean), ("variance", np.var)):
+    for name, stat in (("mean", _pairwise_mean), ("variance", _pairwise_var)):
         try:
-            with np.errstate(over="raise"):
-                stats.append(float(stat(incr.values)))
-        except FloatingPointError:
-            raise ValueError(f"{name} of the generated values overflows")
+            with np.errstate(over="raise", under="raise"):
+                stats.append(stat(incr.values, *stats))
+        except FloatingPointError as exc:
+            if str(exc).startswith("underflow"):
+                raise ValueError(f"dt={args.dt} too small: the {name} of the "
+                                 "generated values underflows") from None
+            raise ValueError(f"{name} of the generated values overflows") from None
     mean, var = stats
     save_series(args.out, incr, args.format)
     print(f"OK generate n={args.n} dt={args.dt:g} seed={args.seed} "
@@ -195,10 +204,19 @@ def cmd_slope(args: argparse.Namespace) -> int:
     return 0
 
 
+def _note_ignored(args: argparse.Namespace, **given) -> None:
+    """Under ``--quick``, one stderr note naming each flag of ``given``
+    (flag name to parsed value, None if not given) that it overrides."""
+    names = [f"--{name}" for name, value in given.items() if value is not None]
+    if args.quick and names:
+        print(f"note: --quick ignores {' and '.join(names)}", file=sys.stderr)
+
+
 def _length(args: argparse.Namespace, quick_n: int) -> int:
-    """``--n``, or ``quick_n`` under ``--quick``; an ``--n`` below 1 is
-    rejected either way."""
-    n = _check_n(args.n)
+    """``--n`` (2e7 if not given), or ``quick_n`` under ``--quick``; an
+    ``--n`` below 1 is rejected either way."""
+    n = _check_n(20_000_000 if args.n is None else args.n)
+    _note_ignored(args, n=args.n)
     return quick_n if args.quick else n
 
 
@@ -255,7 +273,9 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem(args: argparse.Namespace) -> int:
-    replicas, horizon = args.replicas, args.horizon
+    replicas = 64 if args.replicas is None else args.replicas
+    horizon = 1000.0 if args.horizon is None else args.horizon
+    _note_ignored(args, T=args.horizon, replicas=args.replicas)
     if args.quick:
         replicas = QUICK_THEOREM["replicas"]
         horizon = QUICK_THEOREM["t"]

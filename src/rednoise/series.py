@@ -176,7 +176,8 @@ def save_series(path, series, fmt: str | None = None) -> None:
     if fmt == "csv":
         write_csv(path, "t,value", series.t, series.values)
     else:
-        Path(path).write_bytes(np.ascontiguousarray(series.values, dtype="<f8").tobytes())
+        # written from the array's own buffer, not a bytes copy of it
+        Path(path).write_bytes(np.ascontiguousarray(series.values, dtype="<f8"))
 
 
 def _read_csv(path, names: str) -> np.ndarray:

@@ -7,16 +7,22 @@ the flat unit density that plays the role of the white-noise reference:
 ``j = 1 .. n//2`` (the zero frequency is dropped).  No taper is applied;
 variance reduction comes from band averaging.
 
-The real FFT is pocketfft's, run in place through scipy's compiled
+The FFT is pocketfft's, run in place through scipy's compiled
 ``pypocketfft`` extension alone (loaded at the first FFT in about 1 ms,
-without the ``scipy.fft`` package).  numpy vendors the same kernel, so
-every bin has the bits of ``np.fft.rfft``, while one full-length array
-fewer is held.  It releases the interpreter lock, so ``fig1`` samples one
-model while another's spectrum is formed.
+without the ``scipy.fft`` package), on one of two paths.  Odd ``n``, ``n``
+below ``_FOUR_STEP_MIN`` and an ``n/2`` with no split into two factors of
+at least 64 take the whole-array real FFT: numpy vendors the same kernel,
+so every bin has the bits of ``np.fft.rfft``, but pocketfft holds two more
+arrays of the input's length.  The rest take a four-step FFT, whose scratch
+does not grow with ``n``; its band powers lie within 1e-12 of the largest
+band power of ``np.fft.rfft``'s (about 1e-15 is seen), not bit for bit.
+Both release the interpreter lock, so ``fig1`` samples one model while
+another's spectrum is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -32,6 +38,11 @@ __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
 # formed and summed in buffers of about this size.  At least 128, the size
 # below which numpy itself stops splitting.
 _ACF_LEAF = 1 << 16
+# Shortest even series that takes the four-step transform.  The paths cross
+# between 2e6 and 4e6 points: one spectrum on one thread, 46.5 ms whole-array
+# against 45.2 ms four-step at 2e6 and 119.0/113.7 at 4e6 (medians of 15;
+# numpy 2.4).  Below it the whole-array FFT, no slower, keeps numpy's bits.
+_FOUR_STEP_MIN = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,7 @@ def _band_omegas(n: int, dt: float, band_width: int) -> np.ndarray:
     of an ``n``-point series, formed a chunk of bands at a time."""
     n_bands = n // 2 // band_width
     omegas = np.empty(n_bands)
-    rows = max(1, _BLOCK // band_width)
+    rows = max(1, _BLOCK // 16 // band_width)
     for r0 in range(0, n_bands, rows):
         r1 = min(r0 + rows, n_bands)
         w = 2.0 * np.pi * np.arange(r0 * band_width + 1,
@@ -144,25 +155,107 @@ def _band_omegas(n: int, dt: float, band_width: int) -> np.ndarray:
     return omegas
 
 
+def _four_step_rows(n: int) -> int:
+    """Rows of the four-step transform of ``n`` points, nearest 512 (columns
+    that stay in cache), or 0 for the whole-array one: odd ``n``, ``n <
+    _FOUR_STEP_MIN``, or no split of ``n/2`` into factors of at least 64."""
+    m = n // 2
+    if n % 2 or n < _FOUR_STEP_MIN:
+        return 0
+    rows = [d for d in range(64, math.isqrt(m) + 1) if m % d == 0]
+    return min(rows + [m // d for d in rows], key=lambda d: abs(d - 512),
+               default=0)
+
+
+def _four_step_sums(y: np.ndarray, n1: int, band_width: int) -> np.ndarray:
+    """Band sums of ``|X_k|^2``, ``X`` the real FFT of ``y``, taken in place.
+
+    Bailey's four steps give the complex FFT ``Z`` of ``y`` read as ``m =
+    n/2`` values in an ``(n1, m/n1)`` view, bin ``k1 + n1 k2`` at ``[k1,
+    k2]``.  Numerical Recipes' split (§12.3) forms ``X_k = E + w_n^k O`` and
+    ``X_(m-k) = conj(E - w_n^k O)``, where ``2E = Z_k + conj Z_(m-k)`` and
+    ``2iO = Z_k - conj Z_(m-k)``, from a chunk of columns and its mirror.
+    """
+    n = y.size
+    m, half, n2 = n // 2, n // 4, n // 2 // n1
+    c2c = extension("fft._pocketfft", "pypocketfft", "FFT").c2c
+    z = y.view(np.complex128).reshape(n1, n2)
+    c2c(z, (0,), True, 0, z, 1)
+    s = (m.bit_length() + 1) // 2          # w_m^e = hi[e >> s] lo[e % 2^s]
+    hi = np.exp(-2j * np.pi * (np.arange((m >> s) + 1) << s) / m)
+    lo = np.exp(-2j * np.pi * np.arange(1 << s) / m)
+    span = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
+    rows = max(1, _BLOCK // 16 // n2)
+    for r0 in range(1, n1, rows):
+        k1 = np.arange(r0, min(r0 + rows, n1))[:, None]
+        block = z[r0:r0 + k1.size].reshape(k1.size, -1, span)
+        # column b = span i + j: w_m^(k1 b) = w_m^(k1 span i) w_m^(k1 j)
+        for exp, axis in ((k1 * span * np.arange(n2 // span), 2),
+                          (k1 * np.arange(span), 1)):
+            block *= np.expand_dims(hi[exp >> s] * lo[exp & ((1 << s) - 1)],
+                                    axis)
+    c2c(z, (1,), True, 0, z, 1)
+    if not _all_finite(y):         # an overflow inside pocketfft
+        raise FloatingPointError
+    sums = np.zeros(m // band_width)
+    t1 = -0.5j * np.exp(-2j * np.pi * np.arange(n1) / n)    # w_n^k1 / 2i
+    t2 = np.exp(-1j * np.pi * np.arange(n2) / n2)            # w_n^(n1 k2)
+    cols = max(1, min(_BLOCK // 16 // n1, n2 // 2))
+    e, d, w = (np.empty((n1, cols), np.complex128) for _ in range(3))
+    p = e.reshape(-1).view(np.float64).reshape(2, cols * n1)  # e, reused
+    for c0 in range(0, half // n1 + 1, cols):
+        c1 = c0 + cols
+        # bin m - k lies at [n1 - k1, n2 - 1 - k2], or at [0, -k2 % n2]
+        np.conjugate(z[:0:-1, n2 - c1:n2 - c0][:, ::-1], out=e[1:])
+        np.conjugate(z[0, -np.arange(c0, c1) % n2], out=e[0])
+        np.subtract(z[:, c0:c1], e, out=d)
+        e += z[:, c0:c1]
+        e *= 0.5
+        d *= t1[:, None]
+        d *= t2[c0:c1]                                       # w_n^k O_k
+        np.add(e, d, out=w)                                  # X_k
+        np.subtract(e, d, out=d)                             # conj X_(m-k)
+        for x, power in ((w, p[0]), (d, p[1])):
+            np.square(x.view(np.float64), out=x.view(np.float64))
+            np.add(x.real, x.imag, out=power.reshape(cols, n1).T)
+        k0, top = n1 * c0, min(n1 * c1, m - half)
+        # each run of bins first, first + 1, ... into its whole bands
+        for first, run in ((max(k0, 1), p[0, max(1 - k0, 0):half + 1 - k0]),
+                           (m - top + 1, p[1, :top - k0][::-1])):
+            run = run[:max(sums.size * band_width + 1 - first, 0)]
+            band, off = divmod(first - 1, band_width)
+            if band_width == 1:
+                sums[band:band + run.size] += run
+            elif run.size:
+                starts = np.arange(-off % band_width, run.size, band_width)
+                seg = np.add.reduceat(run, np.r_[0, starts] if off else starts)
+                sums[band:band + seg.size] += seg
+    return sums
+
+
 def _band_powers(y: np.ndarray, dt: float, band_width: int) -> np.ndarray:
     """Mean periodogram power of each whole band; transforms ``y`` in place.
 
     The powers of a chunk of whole bands are formed from the halfcomplex
-    bins at a time, so beside ``y`` only the FFT's scratch and one chunk
-    are held.
+    bins at a time, or from pairs of four-step bins where
+    :func:`_four_step_rows` splits ``n``, so beside ``y`` only the FFT's
+    scratch and one chunk are held.
     """
     n = y.size
+    n1 = _four_step_rows(n)
     overflow = ValueError("periodogram overflows: the FFT or its squared "
                           "amplitudes exceed the float64 range")
     # errstate does not see inside pocketfft: an overflow there shows as a
     # nonfinite bin
-    if not _all_finite(_halfcomplex(y, True)):
+    if not n1 and not _all_finite(_halfcomplex(y, True)):
         raise overflow
     n_bands = n // 2 // band_width
-    powers = np.empty(n_bands)
     rows = max(1, _BLOCK // band_width)
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if n1:
+                return _four_step_sums(y, n1, band_width) / (n * dt) / band_width
+            powers = np.empty(n_bands)
             for r0 in range(0, n_bands, rows):
                 r1 = min(r0 + rows, n_bands)
                 lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
@@ -228,6 +321,28 @@ def _tree_sum(k: int, leaf_sums) -> float:
         return next(leaf_sums)
     h = _split(k)
     return _tree_sum(h, leaf_sums) + _tree_sum(k - h, leaf_sums)
+
+
+def _pairwise_mean(values: np.ndarray) -> np.float64:
+    """``np.mean`` of a contiguous 1-D float64 array, bit for bit, from the
+    sums of the leaves of :func:`_tree_sum`."""
+    n = values.size
+    return _tree_sum(n, (np.sum(values[a:a + k])
+                         for a, k in _leaves(0, n))) / n
+
+
+def _pairwise_var(values: np.ndarray, mean: np.float64) -> np.float64:
+    """``np.var`` of ``values``, whose :func:`_pairwise_mean` is ``mean``,
+    bit for bit and without its centered copy: each leaf's squared
+    deviations are formed and summed in one reused buffer."""
+    n = values.size
+    buf = np.empty(min(n, _ACF_LEAF))
+
+    def leaf(a, k):
+        x = np.subtract(values[a:a + k], mean, out=buf[:k])
+        return np.sum(np.square(x, out=x))
+
+    return _tree_sum(n, (leaf(a, k) for a, k in _leaves(0, n))) / n
 
 
 def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:

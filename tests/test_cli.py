@@ -310,6 +310,19 @@ def test_swamped_ou_step_exits_2_naming_theta_and_dt(tmp_path, capsys, model):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_generate_dt_whose_squares_underflow_exits_2_naming_dt(tmp_path,
+                                                               capsys):
+    # the values (about 2e-162) are normal, but their squares underflow and
+    # the variance would print as 0, not dt
+    out_path = tmp_path / "x.f64le"
+    code, out, err = run(capsys, "generate", "--model", "model=white",
+                         "--n", "10", "--dt", "5e-324", "--out", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == ("error: dt=5e-324 too small: the variance of the "
+                   "generated values underflows\n")
+
+
 def test_subnormal_sigma_square_still_runs_fig2(tmp_path, capsys):
     # sigma**2 = 1e-320 is subnormal, not 0: the run is scale-free and passes
     code, out, err = run(capsys, "fig2", "--quick", "--sigma", "1e-160",
@@ -639,6 +652,41 @@ def test_fig2_quick(tmp_path, capsys):
         first = np.loadtxt(tmp_path / f"{name}.csv", delimiter=",",
                            skiprows=1)[0]
         assert first[0] == 0.0 and first[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command, runner, argv, note", [
+    ("fig1", "spectra_run", ("--n", "5"), "--n"),
+    ("fig2", "restoring_run", ("--n", "20000000"), "--n"),
+    ("theorem", "plateau_experiment", ("--T", "3", "--replicas", "40"),
+     "--T and --replicas"),
+    ("theorem", "plateau_experiment", ("--replicas", "64"), "--replicas"),
+])
+def test_quick_names_the_flags_it_ignores(tmp_path, capsys, monkeypatch,
+                                          command, runner, argv, note):
+    # the run is the same with or without the ignored flags; one stderr
+    # note names them
+    calls = []
+
+    def stop(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(f"rednoise.cli.{runner}", stop)
+    out = ("--out", str(tmp_path / "o"))
+    for extra, want_err in (((), "error: stopped\n"),
+                            (argv, f"note: --quick ignores {note}\n"
+                                   "error: stopped\n")):
+        code, stdout, err = run(capsys, command, "--quick", *extra, *out)
+        assert (code, stdout, err) == (2, "", want_err)
+    assert repr(calls[0]) == repr(calls[1])
+
+
+def test_quick_theorem_stdout_is_the_same_with_ignored_flags(capsys):
+    plain = run(capsys, "theorem", "--quick")
+    flagged = run(capsys, "theorem", "--quick", "--T", "3", "--replicas", "40")
+    assert plain[0] == flagged[0] == 0 and plain[1] == flagged[1]
+    assert (plain[2], flagged[2]) == (
+        "", "note: --quick ignores --T and --replicas\n")
 
 
 # ---------------------------------------------------------------------------

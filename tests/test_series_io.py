@@ -134,6 +134,22 @@ def test_f64le_read_is_one_array_of_the_file_bytes(tmp_path):
     assert peak < 1.1 * path.stat().st_size
 
 
+def test_f64le_write_holds_no_copy_of_the_values(tmp_path):
+    # the file is written from the array's own buffer: the bytes of
+    # tobytes(), without building them
+    path = tmp_path / "big.f64le"
+    values = GaussianStream(4).fill(2**20)
+    values[:3] = (-0.0, 5e-324, np.finfo(np.float64).max)
+    tracemalloc.start()
+    try:
+        save_series(path, TimeSeries(0.5, values), fmt="f64le")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == values.astype("<f8").tobytes()
+    assert peak < 0.1 * values.nbytes, peak
+
+
 def test_nonuniform_time_column_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n0.0,1.0\n1.0,2.0\n3.0,3.0\n")

@@ -149,12 +149,15 @@ def test_band_spectrum_matches_for_any_chunking(n, bw, chunk, dt):
         _same_bits(series, min(bw, n // 2))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 4097, 65537, 100003, 2**21 + 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 4097, 8192, 65537, 100003,
+                               2**21, 2**21 + 1])
 @pytest.mark.parametrize("bw", [1, 7, 1000])
 def test_in_place_fft_has_the_bits_of_numpys_rfft(n, bw):
     # the halfcomplex transform against the body written on np.fft.rfft:
     # even and odd n (a real Nyquist bin or none), prime n (pocketfft's
-    # Bluestein path) and bands straddling chunk edges
+    # Bluestein path), bands straddling chunk edges, and even n that split
+    # but are too short for the four-step path (fig1 --quick's 2**21)
+    assert spectral._four_step_rows(n) == 0
     bw = min(bw, n // 2)
     values = GaussianStream(n).fill(n) * 3.0
     want = oracles.band_spectrum_rfft(_series(values, 0.1), bw)
@@ -316,6 +319,118 @@ def test_acf_checks_mode_before_reading_the_series():
             raise AssertionError("series read before mode was checked")
     with pytest.raises(ValueError, match="'median'"):
         empirical_acf(Unread(), 10, mode="median")
+
+
+# ---------------------------------------------------------------------------
+# four-step band spectrum
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def four_step(monkeypatch):
+    """Every even length whose half splits takes the four-step path."""
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+
+
+def _matches_rfft(values, bw, dt=0.1):
+    # frequencies bit for bit, powers within 1e-12 of the largest band
+    want = oracles.band_spectrum_rfft(_series(values, dt), bw)
+    got = spectral._band_spectrum(_series(values.copy(), dt), bw)
+    assert got.omegas.tobytes() == want.omegas.tobytes()
+    err = np.abs(got.powers - want.powers).max()
+    assert err <= 1e-12 * want.powers.max(), err / want.powers.max()
+    return got, want
+
+
+@pytest.mark.parametrize("n, rows", [(2 * 64 * 64, 64), (2 * 64 * 200, 200),
+                                     (2 * 97 * 1009, 97), (2**17, 512),
+                                     (200_000, 500)])
+@pytest.mark.parametrize("bw", [1, 3, 1000])
+def test_four_step_band_spectrum_matches_rfft(four_step, n, rows, bw):
+    # a square split, more rows than columns and fewer, a prime row count,
+    # and bands of 1 bin, whose last is the real Nyquist bin
+    assert spectral._four_step_rows(n) == rows
+    values = GaussianStream(n).fill(n) * 3.0
+    got, want = _matches_rfft(values, bw)
+    if bw == 1:
+        assert got.powers[-1] == pytest.approx(want.powers[-1], rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(64, 150), n2=st.integers(64, 150),
+       bw=st.integers(1, 3000), block=st.integers(16, 2**15),
+       dt=st.floats(1e-3, 1e3))
+def test_four_step_matches_rfft_for_any_chunking(n1, n2, bw, block, dt):
+    # chunks of whole columns and runs of bins that start and end inside
+    # bands, on both sides of each pair (k, m - k)
+    n = 2 * n1 * n2
+    values = GaussianStream(n).fill(n) * 1e3
+    with patch.object(spectral, "_FOUR_STEP_MIN", 2), \
+            patch.object(spectral, "_BLOCK", block):
+        assert spectral._four_step_rows(n)
+        _matches_rfft(values, min(bw, n // 2), dt)
+
+
+def test_short_odd_and_unsplit_lengths_keep_the_whole_array_path(monkeypatch):
+    # odd n, m = n/2 with no split into two factors of at least 64, and n
+    # below the length floor
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 10_000)
+    for n in (2 * 64 * 79 + 1, 2 * 61 * 101, 2 * 2 * 8191, 2 * 64 * 78):
+        assert spectral._four_step_rows(n) == 0
+    assert spectral._four_step_rows(2 * 64 * 79) == 79
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [
+    _near_max(8192),
+    np.full(8192, 5e304),
+    GaussianStream(10).fill(8192) * 1e160,
+], ids=["near-1e308", "bin-0-only", "squares"])
+def test_four_step_overflow_raises_naming_the_periodogram(four_step, values):
+    # an FFT bin that overflows inside pocketfft, where errstate does not
+    # see it, or squared amplitudes that overflow in numpy
+    before = np.geterr()
+    for bw in (1, 7):
+        with pytest.raises(ValueError, match="^periodogram overflows: "):
+            spectral._band_spectrum(_series(values.copy()), bw)
+    assert np.geterr() == before
+
+
+def test_four_step_scratch_does_not_grow_with_n(four_step):
+    # beside its input the four-step path holds a chunk of bins and a few
+    # tables, not the two input-length arrays of the whole-array transform
+    n = 2**20
+    series = _series(GaussianStream(14).fill(n))
+    assert spectral._four_step_rows(n) == 512
+    tracemalloc.start()
+    try:
+        spectral._band_spectrum(series, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16 + 1, 200_003])
+def test_pairwise_mean_and_var_have_numpys_bits(n):
+    # generate's statistics: np.mean and np.var on numpy's own pairwise
+    # tree, a leaf at a time
+    values = 2.5 + 0.3 * GaussianStream(n).fill(n)
+    mean = spectral._pairwise_mean(values)
+    assert mean.tobytes() == np.mean(values).tobytes()
+    assert spectral._pairwise_var(values, mean).tobytes() == \
+        np.var(values).tobytes()
+
+
+def test_pairwise_var_holds_no_centered_copy():
+    n = 2**20
+    values = GaussianStream(15).fill(n)
+    tracemalloc.start()
+    try:
+        spectral._pairwise_var(values, spectral._pairwise_mean(values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * spectral._ACF_LEAF, peak
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ import pytest
 import oracles
 import rednoise
 import rednoise.figures as figures
+import rednoise.spectral as spectral
 import rednoise.streams as streams
-from rednoise import (GaussianStream, RedOuDt, plateau_experiment, restoring_run,
-                      spectra_run)
+from rednoise import (DiffU, GaussianStream, Mixed, RedOuDt, White, increments,
+                      plateau_experiment, restoring_run, spectra_run)
 from rednoise.cli import main
 from rednoise.streams import _map_substreams
 
@@ -139,6 +140,57 @@ def test_spectra_run_has_the_bits_of_the_serial_run(monkeypatch, threads, seed):
                      (g.spectrum.powers, w.spectrum.powers),
                      (g.theory, w.theory)):
             assert a.tobytes() == b.tobytes(), g.name
+
+
+class _Forbidden:
+    """A lock whose taking fails the test."""
+
+    def __enter__(self):
+        raise AssertionError("a four-step band spectrum took the lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_four_step_spectra_run_takes_no_lock_and_has_serial_bits(
+        monkeypatch, threads, seed):
+    # on the four-step path the spectra run without the lock, and each has
+    # the bits of the same band powers taken one model after another, and
+    # of a run on one thread
+    n, dt, bw = 2**17, 0.1, 1000
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    models = (White(), RedOuDt(0.1), DiffU(0.1), Mixed(0.1, 0.5))
+    want = [spectral._band_powers(increments(model, dt, n, child).values, dt, bw)
+            for model, child in zip(models, GaussianStream(seed).spawn(4))]
+    monkeypatch.setattr(figures, "_SPECTRUM_LOCK", _Forbidden())
+    got = spectra_run(theta=0.1, gamma=0.5, n=n, dt=dt, band_width=bw,
+                      seed=seed)
+    monkeypatch.setattr(streams, "_THREADS", 1)
+    one = spectra_run(theta=0.1, gamma=0.5, n=n, dt=dt, band_width=bw,
+                      seed=seed)
+    assert got.red_slope == one.red_slope
+    for g, o, w in zip(got.comparisons, one.comparisons, want, strict=True):
+        assert g.spectrum.powers.tobytes() == w.tobytes(), g.name
+        assert o.spectrum.powers.tobytes() == w.tobytes(), g.name
+        assert g.max_rel_dev == o.max_rel_dev
+
+
+def test_whole_array_spectra_take_the_lock(monkeypatch):
+    # an odd n takes the whole-array transform, one spectrum at a time
+    taken = []
+
+    class Counting:
+        def __enter__(self):
+            taken.append(1)
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    monkeypatch.setattr(figures, "_SPECTRUM_LOCK", Counting())
+    spectra_run(n=2**17 + 1, band_width=1000)
+    assert len(taken) == 4
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.0])
