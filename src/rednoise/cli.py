@@ -26,8 +26,8 @@ from .figures import plateau_experiment, restoring_run, spectra_run
 from .models import RedOuDt, increments, parse_model
 from .series import (FORMATS, TimeSeries, _check_n, _read_csv, load_values,
                      save_series, write_csv)
-from .spectral import (AvgSpectrum, _band_spectrum, _pairwise_mean,
-                       _pairwise_var, empirical_acf, loglog_slope)
+from .spectral import (AvgSpectrum, _band_spectrum, _pairwise_var,
+                       empirical_acf, loglog_slope)
 from .streams import GaussianStream
 
 __all__ = ["main", "cmd_generate", "cmd_psd", "cmd_acf", "cmd_slope",
@@ -157,7 +157,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     # both statistics come before the file, so a failure writes nothing;
     # they have numpy's bits, without np.var's centered copy
     stats = []
-    for name, stat in (("mean", _pairwise_mean), ("variance", _pairwise_var)):
+    for name, stat in (("mean", np.mean), ("variance", _pairwise_var)):
         try:
             with np.errstate(over="raise", under="raise"):
                 stats.append(stat(incr.values, *stats))

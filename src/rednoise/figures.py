@@ -13,8 +13,6 @@ All three are pure functions of their parameters and the seed.
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +26,8 @@ from .simulate import (ContinuousSystemParams, DiscreteSystemParams,
                        continuous_from_discrete, simulate_discrete,
                        simulate_exact, stationary_autocorr)
 from .spectral import (AvgSpectrum, _band_omegas, _band_powers,
-                       _check_band_width, _four_step_rows, band_average,
-                       empirical_acf, loglog_slope)
+                       _check_band_width, band_average, empirical_acf,
+                       loglog_slope)
 from .streams import GaussianStream, _map_substreams
 
 __all__ = ["SpectrumComparison", "SpectraResult", "AcfComparison",
@@ -42,10 +40,6 @@ _SLOPE_WINDOW = (1.0, 10.0)
 # frequencies, and reports the power near each of _PLATEAU_OMEGAS.
 _PLATEAU_BAND = (10.0, 30.0)
 _PLATEAU_OMEGAS = (10.0, 15.0, 20.0, 25.0, 30.0)
-# One whole-array band spectrum at a time: pocketfft's real FFT holds two
-# more arrays of its input's length, so two at once would double the peak.
-# The four-step transform's scratch does not grow with n; it takes no lock.
-_SPECTRUM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -90,10 +84,10 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     small theta).
 
     The models run on two threads: one samples while another's spectrum is
-    formed.  Where ``n`` takes the whole-array FFT, a lock lets one band
-    spectrum (its stage, the largest) run at a time.  Results come back in
-    model order, with the bits of a serial run.  A slope window holding
-    fewer than 8 band centres is rejected before any draw.
+    formed (:func:`_band_powers` decides whether two spectra may run at
+    once).  Results come back in model order, with the bits of a serial
+    run.  A slope window holding fewer than 8 band centres is rejected
+    before any draw.
     """
     dt, n = _check_sampling(White(), dt, n)
     band_width = _check_band_width(band_width, n // 2)
@@ -117,14 +111,11 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
              ("mixed", Mixed(theta, gamma)))
     for _, model in cases:
         _check_sampling(model, dt, n)
-    lock = nullcontext() if _four_step_rows(n) else _SPECTRUM_LOCK
 
     def compare(job):
         (name, model), child = job
-        incr = increments(model, dt, n, child)
-        with lock:
-            powers = _band_powers(incr.values, dt, band_width)
-        del incr
+        powers = _band_powers(increments(model, dt, n, child).values, dt,
+                              band_width)
         avg = AvgSpectrum(omegas=omegas, powers=powers)
         theory = np.asarray(theoretical_psd(model, omegas))
         rel = np.abs(powers[sel] / theory[sel] - 1.0)

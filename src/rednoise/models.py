@@ -126,19 +126,13 @@ NoiseModel = Union[White, RedOuDt, DiffU, Mixed, Ar1Driven, Fgn]
 # samplers
 # ---------------------------------------------------------------------------
 
-def _fblas():
-    """scipy's ``_fblas`` extension, loaded once without ``scipy.linalg``
-    (about 5 ms instead of 0.3-0.4 s), so ``scipy.linalg.blas.dtbsv`` is the
-    same routine."""
-    return extension("linalg", "_fblas", "BLAS")
-
-
 def _ar1_recursion(coeff: float, y: np.ndarray) -> np.ndarray:
     """Solve ``x_{k+1} = coeff x_k + y_{k+1}`` in place in ``y``; returns ``y``.
 
     ``y[0]`` is the start ``x_0`` and ``y[1:]`` the scaled innovations; they
-    are overwritten by ``x_1 .. x_n``.  BLAS ``dtbsv`` (from :func:`_fblas`,
-    without the 0.3-0.4 s ``scipy.linalg`` import) solves
+    are overwritten by ``x_1 .. x_n``.  BLAS ``dtbsv``, the routine of
+    ``scipy.linalg.blas`` taken from scipy's ``_fblas`` extension alone
+    (about 5 ms instead of the 0.3-0.4 s ``scipy.linalg`` import), solves
     ``(I - coeff S) x = r`` in ``_AR1_BLOCK``-point blocks, each first adding
     ``coeff`` times the last value solved to its first ``r``; nothing is
     allocated but the band.  Rounding contract: with ``y[1:] = scale * z``,
@@ -149,7 +143,7 @@ def _ar1_recursion(coeff: float, y: np.ndarray) -> np.ndarray:
     rounded sum, as in ``lfilter``.  The lower, non-transposed form runs
     through OpenBLAS's fused multiply-add kernel and rounds differently.
     """
-    dtbsv = _fblas().dtbsv
+    dtbsv = extension("linalg", "_fblas", "BLAS").dtbsv
     band = np.empty((2, min(_AR1_BLOCK, y.size - 1)), order="F")
     band[0] = -coeff
     band[1] = 1.0

@@ -182,18 +182,24 @@ def save_series(path, series, fmt: str | None = None) -> None:
 
 def _read_csv(path, names: str) -> np.ndarray:
     """The rows below the header line of a CSV file, as a float64 array of at
-    least the two columns ``names``.
+    least the two columns ``names``, both finite.
 
     A file with no data row is rejected by name before numpy reads it, so
-    numpy's empty-input warning is never printed.
+    numpy's empty-input warning is never printed; every fault names the path.
     """
     with open(path, "rb") as fh:
         fh.readline()                                   # the header
         if not any(line.split(b"#", 1)[0].strip() for line in fh):
             raise ValueError(f"{path}: no data rows below the header line")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        # numpy's advice after the ";" names its own arguments
+        raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
     if data.shape[1] < 2:
         raise ValueError(f"{path}: expected at least two CSV columns ({names})")
+    if not (_all_finite(data[:, 0]) and _all_finite(data[:, 1])):
+        raise ValueError(f"{path}: values must be finite")
     return data
 
 
@@ -220,6 +226,8 @@ def load_values(path, fmt: str | None = None, dt: float | None = None):
             # read straight into the one array returned (a no-op cast on a
             # little-endian machine)
             values = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
+        if not _all_finite(values):
+            raise ValueError(f"{path}: values must be finite")
         return values, _check_positive(dt, "dt")
     data = _read_csv(path, "t,value")
     t, values = data[:, 0], data[:, 1]

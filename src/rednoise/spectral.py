@@ -17,12 +17,14 @@ arrays of the input's length.  The rest take a four-step FFT, whose scratch
 does not grow with ``n``; its band powers lie within 1e-12 of the largest
 band power of ``np.fft.rfft``'s (about 1e-15 is seen), not bit for bit.
 Both release the interpreter lock, so ``fig1`` samples one model while
-another's spectrum is formed.
+another's spectrum is formed.  One whole-array band spectrum runs at a
+time, whichever command forms it (``_SPECTRUM_LOCK``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -43,6 +45,10 @@ _ACF_LEAF = 1 << 16
 # against 45.2 ms four-step at 2e6 and 119.0/113.7 at 4e6 (medians of 15;
 # numpy 2.4).  Below it the whole-array FFT, no slower, keeps numpy's bits.
 _FOUR_STEP_MIN = 4_000_000
+# One whole-array band spectrum at a time: pocketfft's real FFT holds two
+# more arrays of its input's length, so two at once would double the peak.
+# The four-step transform's scratch does not grow with n; it takes no lock.
+_SPECTRUM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -143,15 +149,21 @@ def _halfcomplex(y: np.ndarray, forward: bool) -> np.ndarray:
 
 def _band_omegas(n: int, dt: float, band_width: int) -> np.ndarray:
     """Mean frequency of each whole band of ``band_width`` periodogram bins
-    of an ``n``-point series, formed a chunk of bands at a time."""
+    of an ``n``-point series, formed a chunk of bands at a time; a ``dt``
+    whose frequencies (or a band's sum of them) overflow is named."""
     n_bands = n // 2 // band_width
     omegas = np.empty(n_bands)
     rows = max(1, _BLOCK // 16 // band_width)
-    for r0 in range(0, n_bands, rows):
-        r1 = min(r0 + rows, n_bands)
-        w = 2.0 * np.pi * np.arange(r0 * band_width + 1,
-                                    r1 * band_width + 1) / (n * dt)
-        omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    try:
+        with np.errstate(over="raise"):
+            for r0 in range(0, n_bands, rows):
+                r1 = min(r0 + rows, n_bands)
+                w = 2.0 * np.pi * np.arange(r0 * band_width + 1,
+                                            r1 * band_width + 1) / (n * dt)
+                omegas[r0:r1] = w.reshape(r1 - r0, band_width).mean(axis=1)
+    except FloatingPointError:
+        raise ValueError(f"dt={dt} too small: the frequencies near pi/dt "
+                         "overflow") from None
     return omegas
 
 
@@ -239,34 +251,35 @@ def _band_powers(y: np.ndarray, dt: float, band_width: int) -> np.ndarray:
     The powers of a chunk of whole bands are formed from the halfcomplex
     bins at a time, or from pairs of four-step bins where
     :func:`_four_step_rows` splits ``n``, so beside ``y`` only the FFT's
-    scratch and one chunk are held.
+    scratch and one chunk are held.  The whole-array path runs under
+    ``_SPECTRUM_LOCK``, from its transform to its last band.
     """
     n = y.size
     n1 = _four_step_rows(n)
-    overflow = ValueError("periodogram overflows: the FFT or its squared "
-                          "amplitudes exceed the float64 range")
-    # errstate does not see inside pocketfft: an overflow there shows as a
-    # nonfinite bin
-    if not n1 and not _all_finite(_halfcomplex(y, True)):
-        raise overflow
     n_bands = n // 2 // band_width
     rows = max(1, _BLOCK // band_width)
     try:
         with np.errstate(over="raise", invalid="raise"):
             if n1:
                 return _four_step_sums(y, n1, band_width) / (n * dt) / band_width
-            powers = np.empty(n_bands)
-            for r0 in range(0, n_bands, rows):
-                r1 = min(r0 + rows, n_bands)
-                lo, hi = r0 * band_width + 1, r1 * band_width + 1   # FFT bins
-                # bin j is y[2j-1] + 1j*y[2j]; an even n's last bin is real
-                p = y[2 * lo - 1:2 * hi - 1:2] ** 2
-                im = y[2 * lo:2 * hi:2]
-                p[:im.size] += im**2
-                p /= n * dt
-                powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
+            with _SPECTRUM_LOCK:
+                # errstate does not see inside pocketfft: an overflow there
+                # shows as a nonfinite bin
+                if not _all_finite(_halfcomplex(y, True)):
+                    raise FloatingPointError
+                powers = np.empty(n_bands)
+                for r0 in range(0, n_bands, rows):
+                    r1 = min(r0 + rows, n_bands)
+                    lo, hi = r0 * band_width + 1, r1 * band_width + 1   # bins
+                    # bin j is y[2j-1] + 1j*y[2j]; an even n's last is real
+                    p = y[2 * lo - 1:2 * hi - 1:2] ** 2
+                    im = y[2 * lo:2 * hi:2]
+                    p[:im.size] += im**2
+                    p /= n * dt
+                    powers[r0:r1] = p.reshape(r1 - r0, band_width).mean(axis=1)
     except FloatingPointError:
-        raise overflow from None
+        raise ValueError("periodogram overflows: the FFT or its squared "
+                         "amplitudes exceed the float64 range") from None
     return powers
 
 
@@ -323,18 +336,10 @@ def _tree_sum(k: int, leaf_sums) -> float:
     return _tree_sum(h, leaf_sums) + _tree_sum(k - h, leaf_sums)
 
 
-def _pairwise_mean(values: np.ndarray) -> np.float64:
-    """``np.mean`` of a contiguous 1-D float64 array, bit for bit, from the
-    sums of the leaves of :func:`_tree_sum`."""
-    n = values.size
-    return _tree_sum(n, (np.sum(values[a:a + k])
-                         for a, k in _leaves(0, n))) / n
-
-
 def _pairwise_var(values: np.ndarray, mean: np.float64) -> np.float64:
-    """``np.var`` of ``values``, whose :func:`_pairwise_mean` is ``mean``,
-    bit for bit and without its centered copy: each leaf's squared
-    deviations are formed and summed in one reused buffer."""
+    """``np.var`` of ``values``, whose ``np.mean`` is ``mean``, bit for bit
+    and without its centered copy: each leaf's squared deviations are formed
+    and summed in one reused buffer."""
     n = values.size
     buf = np.empty(min(n, _ACF_LEAF))
 

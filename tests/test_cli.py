@@ -12,7 +12,7 @@ import pytest
 import rednoise
 from rednoise import (Ar1Driven, DiffU, GaussianStream, RedOuDt, TimeSeries,
                       band_average, empirical_acf, increments, load_values,
-                      periodogram)
+                      periodogram, save_series)
 from rednoise.cli import main
 
 
@@ -203,12 +203,23 @@ def test_truncated_f64le_input_exits_2(tmp_path, capsys):
     ("acf", "e.f64le", b""),
 ])
 def test_file_without_data_exits_2_naming_it(tmp_path, command, name, content):
-    # in a subprocess, so that a warning numpy prints on stderr is seen
     path = tmp_path / name
     path.write_bytes(content)
+    err = _file_command_error(tmp_path, command, path)
+    assert err.startswith(f"error: {path}: no data")
+
+
+def _file_command_error(tmp_path, command, path, dt="1"):
+    """stderr of ``command`` run on ``path`` (with ``--dt`` unless ``dt`` is
+    None) in a subprocess, so that a warning numpy prints there is seen;
+    the command must exit 2 with one line and no stdout."""
     argv = [command, "--in", str(path)]
-    argv += (["--omega-min", "1", "--omega-max", "2"] if command == "slope"
-             else ["--dt", "1", "--out", str(tmp_path / "o.csv")])
+    if command == "slope":
+        argv += ["--omega-min", "1", "--omega-max", "2"]
+    else:
+        if dt is not None:
+            argv += ["--dt", dt]
+        argv += ["--out", str(tmp_path / "o.csv")]
     script = f"import sys; from rednoise.cli import main; sys.exit(main({argv!r}))"
     src = str(Path(rednoise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -216,8 +227,52 @@ def test_file_without_data_exits_2_naming_it(tmp_path, command, name, content):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith(f"error: {path}: no data")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    return proc.stderr
+
+
+_F64 = np.array([0.5, -1.0, 2.0, 0.25]).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("command, name, content, cause", [
+    ("psd", "n.csv", b"t,value\n0,1\n1,nan\n2,3\n", "values must be finite"),
+    ("acf", "i.csv", b"t,value\n0,1\n1,-inf\n2,3\n", "values must be finite"),
+    ("psd", "o.csv", b"t,value\n0,1\n1,1e309\n2,3\n", "values must be finite"),
+    ("psd", "n.f64le", _F64 + np.array([np.nan]).tobytes(),
+     "values must be finite"),
+    ("acf", "o.f64le", np.array([np.inf]).tobytes() + _F64,
+     "values must be finite"),
+    ("slope", "n.csv", b"omega,power\n1,1\n2,nan\n", "values must be finite"),
+    ("slope", "i.csv", b"omega,power\ninf,1\n2,1\n", "values must be finite"),
+    ("psd", "r.csv", b"t,value\n0,1\n1,2,3\n2,3\n",
+     "the number of columns changed from 2 to 3 at row 2"),
+    ("slope", "r.csv", b"omega,power\n1,1\n2,1,0\n",
+     "the number of columns changed from 2 to 3 at row 2"),
+    ("acf", "s.csv", b"t,value\n0,1\n1,abc\n", "could not convert string"),
+], ids=["psd-csv-nan", "acf-csv-inf", "psd-csv-1e309", "psd-f64le-nan",
+        "acf-f64le-inf", "slope-nan", "slope-inf", "psd-ragged",
+        "slope-ragged", "acf-not-a-number"])
+def test_file_with_bad_values_exits_2_naming_it(tmp_path, command, name,
+                                                 content, cause):
+    path = tmp_path / name
+    path.write_bytes(content)
+    err = _file_command_error(tmp_path, command, path)
+    assert err.startswith(f"error: {path}: {cause}"), err
+    assert "usecols" not in err
+
+
+@pytest.mark.parametrize("fmt", ["f64le", "csv"])
+def test_psd_with_tiny_dt_exits_2_naming_dt(tmp_path, fmt):
+    # pi/dt overflows: one line naming the step, no numpy warning and no
+    # blame on the periodogram
+    dt = 1e-320
+    x = GaussianStream(0).fill(1000)
+    path = tmp_path / f"w.{fmt}"
+    save_series(path, TimeSeries(dt, x))
+    err = _file_command_error(tmp_path, "psd", path,
+                              dt=str(dt) if fmt == "f64le" else None)
+    assert err.startswith("error: dt=") and err.endswith(
+        " too small: the frequencies near pi/dt overflow\n"), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,8 +464,8 @@ def test_scipy_linalg_reuses_the_loaded_blas_extension():
     script = """
 import sys
 import numpy as np
-from rednoise import models
-fblas = models._fblas()
+from rednoise._scipy import extension
+fblas = extension("linalg", "_fblas", "BLAS")
 import scipy.linalg
 import scipy.linalg.blas
 assert sys.modules["scipy.linalg._fblas"] is fblas

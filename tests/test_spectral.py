@@ -311,6 +311,28 @@ def test_overflowing_fft_raises_naming_the_periodogram(values):
     assert np.geterr() == before
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt, band_width", [
+    (1e-320, 1), (5e-324, 7),
+    # pi/dt is finite, but a band's sum of two bins near it is not
+    (3.2e-308, 2),
+])
+def test_tiny_dt_rejected_by_name_before_the_fft(dt, band_width):
+    # the frequencies near pi/dt overflow: the step is named, not the
+    # periodogram, and the values are not transformed
+    x = GaussianStream(12).fill(1000)
+    series = _series(x.copy(), dt)
+    before = np.geterr()
+    message = f"^dt={dt} too small: the frequencies near pi/dt overflow$"
+    if band_width == 1:
+        with pytest.raises(ValueError, match=message):
+            periodogram(series)
+    with pytest.raises(ValueError, match=message):
+        spectral._band_spectrum(series, band_width)
+    assert series.values.tobytes() == x.tobytes()
+    assert np.geterr() == before
+
+
 def test_acf_checks_mode_before_reading_the_series():
     # a bad mode is rejected up front, not after max_lag + 1 full passes
     class Unread:
@@ -412,12 +434,10 @@ def test_four_step_scratch_does_not_grow_with_n(four_step):
 
 @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16 + 1, 200_003])
 def test_pairwise_mean_and_var_have_numpys_bits(n):
-    # generate's statistics: np.mean and np.var on numpy's own pairwise
-    # tree, a leaf at a time
+    # generate's statistics: np.mean itself, and np.var on numpy's own
+    # pairwise tree, a leaf at a time
     values = 2.5 + 0.3 * GaussianStream(n).fill(n)
-    mean = spectral._pairwise_mean(values)
-    assert mean.tobytes() == np.mean(values).tobytes()
-    assert spectral._pairwise_var(values, mean).tobytes() == \
+    assert spectral._pairwise_var(values, np.mean(values)).tobytes() == \
         np.var(values).tobytes()
 
 
@@ -426,7 +446,7 @@ def test_pairwise_var_holds_no_centered_copy():
     values = GaussianStream(15).fill(n)
     tracemalloc.start()
     try:
-        spectral._pairwise_var(values, spectral._pairwise_mean(values))
+        spectral._pairwise_var(values, np.mean(values))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

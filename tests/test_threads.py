@@ -14,8 +14,9 @@ import rednoise
 import rednoise.figures as figures
 import rednoise.spectral as spectral
 import rednoise.streams as streams
-from rednoise import (DiffU, GaussianStream, Mixed, RedOuDt, White, increments,
-                      plateau_experiment, restoring_run, spectra_run)
+from rednoise import (DiffU, GaussianStream, Mixed, RedOuDt, TimeSeries, White,
+                      increments, plateau_experiment, restoring_run,
+                      spectra_run)
 from rednoise.cli import main
 from rednoise.streams import _map_substreams
 
@@ -163,7 +164,7 @@ def test_four_step_spectra_run_takes_no_lock_and_has_serial_bits(
     models = (White(), RedOuDt(0.1), DiffU(0.1), Mixed(0.1, 0.5))
     want = [spectral._band_powers(increments(model, dt, n, child).values, dt, bw)
             for model, child in zip(models, GaussianStream(seed).spawn(4))]
-    monkeypatch.setattr(figures, "_SPECTRUM_LOCK", _Forbidden())
+    monkeypatch.setattr(spectral, "_SPECTRUM_LOCK", _Forbidden())
     got = spectra_run(theta=0.1, gamma=0.5, n=n, dt=dt, band_width=bw,
                       seed=seed)
     monkeypatch.setattr(streams, "_THREADS", 1)
@@ -176,21 +177,39 @@ def test_four_step_spectra_run_takes_no_lock_and_has_serial_bits(
         assert g.max_rel_dev == o.max_rel_dev
 
 
+class _Counting:
+    """A lock that records each time it is taken (``list.append`` is
+    atomic, so threads may take it at once)."""
+
+    def __init__(self):
+        self.taken = []
+
+    def __enter__(self):
+        self.taken.append(1)
+
+    def __exit__(self, *exc):
+        return False
+
+
 def test_whole_array_spectra_take_the_lock(monkeypatch):
     # an odd n takes the whole-array transform, one spectrum at a time
-    taken = []
-
-    class Counting:
-        def __enter__(self):
-            taken.append(1)
-
-        def __exit__(self, *exc):
-            return False
-
+    lock = _Counting()
     monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
-    monkeypatch.setattr(figures, "_SPECTRUM_LOCK", Counting())
+    monkeypatch.setattr(spectral, "_SPECTRUM_LOCK", lock)
     spectra_run(n=2**17 + 1, band_width=1000)
-    assert len(taken) == 4
+    assert len(lock.taken) == 4
+
+
+def test_theorem_and_psd_spectra_take_the_lock(monkeypatch):
+    # the lock lives where the transform is chosen, so every whole-array
+    # band spectrum takes it: each plateau replica and psd's one spectrum
+    lock = _Counting()
+    monkeypatch.setattr(spectral, "_SPECTRUM_LOCK", lock)
+    plateau_experiment(RedOuDt(0.1), 1.0, 50.0, 0.01, 33, GaussianStream(4))
+    assert len(lock.taken) == 33
+    x = GaussianStream(5).fill(10_000)
+    spectral._band_spectrum(TimeSeries(0.1, x), 10)
+    assert len(lock.taken) == 34
 
 
 @pytest.mark.parametrize("beta", [1.0, 0.0])
