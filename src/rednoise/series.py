@@ -10,7 +10,9 @@ back from either format.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Real
 from pathlib import Path
 
@@ -194,8 +196,19 @@ def _read_csv(path, names: str) -> np.ndarray:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        # numpy's advice after the ";" names its own arguments
-        raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
+        # numpy's advice after the ";" names its own arguments, and its row
+        # counts the lines with text before any "#" below the header, from 1
+        # for a ragged row and from 0 for a bad cell: name the file's line
+        cause = str(exc).split(";")[0]
+        at = re.search(r" at row (\d+)", cause)
+        if at:
+            with open(path, encoding="latin-1") as fh:
+                rows = (i for i, line in enumerate(fh, 1)
+                        if i > 1 and line.split("#", 1)[0].rstrip("\n"))
+                row = int(at[1]) - cause.startswith("the number of columns")
+                line = next(islice(rows, row, None))
+            cause = f"{cause[:at.start()]} at line {line}{cause[at.end():]}"
+        raise ValueError(f"{path}: {cause}") from None
     if data.shape[1] < 2:
         raise ValueError(f"{path}: expected at least two CSV columns ({names})")
     if not (_all_finite(data[:, 0]) and _all_finite(data[:, 1])):

@@ -9,16 +9,17 @@ variance reduction comes from band averaging.
 
 The FFT is pocketfft's, run in place through scipy's compiled
 ``pypocketfft`` extension alone (loaded at the first FFT in about 1 ms,
-without the ``scipy.fft`` package), on one of two paths.  Odd ``n``, ``n``
-below ``_FOUR_STEP_MIN`` and an ``n/2`` with no split into two factors of
-at least 64 take the whole-array real FFT: numpy vendors the same kernel,
-so every bin has the bits of ``np.fft.rfft``, but pocketfft holds two more
-arrays of the input's length.  The rest take a four-step FFT, whose scratch
-does not grow with ``n``; its band powers lie within 1e-12 of the largest
-band power of ``np.fft.rfft``'s (about 1e-15 is seen), not bit for bit.
-Both release the interpreter lock, so ``fig1`` samples one model while
-another's spectrum is formed.  One whole-array band spectrum runs at a
-time, whichever command forms it (``_SPECTRUM_LOCK``).
+without the ``scipy.fft`` package), on one of two paths, for the band
+spectra here and for the fGn sampler's 2n-point embedding (``models``).
+Odd ``n``, ``n`` below ``_FOUR_STEP_MIN`` and an ``n/2`` with no split into
+two factors of at least 64 take the whole-array real FFT: numpy vendors the
+same kernel, so every bin has the bits of ``np.fft.rfft``, but pocketfft
+holds two more arrays of the input's length.  The rest take a four-step
+FFT, whose scratch does not grow with ``n``; its band powers lie within
+1e-12 of the largest band power of ``np.fft.rfft``'s (about 1e-15 is seen),
+not bit for bit.  Both release the interpreter lock, so ``fig1`` samples
+one model while another's spectrum is formed.  One whole-array band
+spectrum runs at a time, whichever command forms it (``_SPECTRUM_LOCK``).
 """
 
 from __future__ import annotations
@@ -179,23 +180,21 @@ def _four_step_rows(n: int) -> int:
                default=0)
 
 
-def _four_step_sums(y: np.ndarray, n1: int, band_width: int) -> np.ndarray:
-    """Band sums of ``|X_k|^2``, ``X`` the real FFT of ``y``, taken in place.
-
-    Bailey's four steps give the complex FFT ``Z`` of ``y`` read as ``m =
-    n/2`` values in an ``(n1, m/n1)`` view, bin ``k1 + n1 k2`` at ``[k1,
-    k2]``.  Numerical Recipes' split (§12.3) forms ``X_k = E + w_n^k O`` and
-    ``X_(m-k) = conj(E - w_n^k O)``, where ``2E = Z_k + conj Z_(m-k)`` and
-    ``2iO = Z_k - conj Z_(m-k)``, from a chunk of columns and its mirror.
-    """
-    n = y.size
-    m, half, n2 = n // 2, n // 4, n // 2 // n1
+def _four_step(y: np.ndarray, n1: int, forward: bool) -> np.ndarray:
+    """Bailey's four-step FFT of the 1-D float64 ``y`` read as ``m = y.size/2``
+    complex values, in place (in a copy if ``y`` is strided); returns their
+    ``(n1, m/n1)`` view.  Forward, ``c2c`` along axis 0, the twiddles ``w_m^(k1
+    b)`` and ``c2c`` along axis 1 take value ``n2 a + b`` at ``[a, b]`` to bin
+    ``k1 + n1 k2`` at ``[k1, k2]``; backward undoes them, without the 1/m."""
+    z = np.ascontiguousarray(y).view(np.complex128).reshape(n1, -1)
+    m, n2 = z.size, z.shape[1]
     c2c = extension("fft._pocketfft", "pypocketfft", "FFT").c2c
-    z = y.view(np.complex128).reshape(n1, n2)
-    c2c(z, (0,), True, 0, z, 1)
+    c2c(z, (0 if forward else 1,), forward, 0, z, 1)
     s = (m.bit_length() + 1) // 2          # w_m^e = hi[e >> s] lo[e % 2^s]
     hi = np.exp(-2j * np.pi * (np.arange((m >> s) + 1) << s) / m)
     lo = np.exp(-2j * np.pi * np.arange(1 << s) / m)
+    if not forward:
+        hi, lo = hi.conj(), lo.conj()
     span = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
     rows = max(1, _BLOCK // 16 // n2)
     for r0 in range(1, n1, rows):
@@ -206,30 +205,74 @@ def _four_step_sums(y: np.ndarray, n1: int, band_width: int) -> np.ndarray:
                           (k1 * np.arange(span), 1)):
             block *= np.expand_dims(hi[exp >> s] * lo[exp & ((1 << s) - 1)],
                                     axis)
-    c2c(z, (1,), True, 0, z, 1)
-    if not _all_finite(y):         # an overflow inside pocketfft
-        raise FloatingPointError
-    sums = np.zeros(m // band_width)
+    c2c(z, (1 if forward else 0,), forward, 0, z, 1)
+    return z
+
+
+def _four_step_pairs(z: np.ndarray, forward: bool):
+    """Numerical Recipes' split (§12.3) of :func:`_four_step`'s bins ``Z``,
+    yielded as ``(c0, c1, e, d)`` for each chunk of columns ``c0:c1`` up to
+    bin m/2, with ``2e = Z_k + conj Z_(m-k)`` and ``d = w_n^k (Z_k - conj
+    Z_(m-k)) / 2i`` (conjugate twiddles backward): ``e + d`` and ``e - d`` are
+    the real FFT's ``X_k`` and ``conj X_(m-k)``, or backward, from ``X``, half
+    of ``Z_k`` and ``conj Z_(m-k)``.  Bin ``m - k`` lies at ``[n1 - k1, n2 - 1
+    - k2]``, or at ``[0, -k2 % n2]``.  The next chunk reuses ``e`` and ``d``."""
+    n1, n2 = z.shape
+    n = 2 * z.size
     t1 = -0.5j * np.exp(-2j * np.pi * np.arange(n1) / n)    # w_n^k1 / 2i
     t2 = np.exp(-1j * np.pi * np.arange(n2) / n2)            # w_n^(n1 k2)
+    if not forward:
+        t1, t2 = t1.conj(), t2.conj()
     cols = max(1, min(_BLOCK // 16 // n1, n2 // 2))
-    e, d, w = (np.empty((n1, cols), np.complex128) for _ in range(3))
-    p = e.reshape(-1).view(np.float64).reshape(2, cols * n1)  # e, reused
-    for c0 in range(0, half // n1 + 1, cols):
+    e, d = (np.empty((n1, cols), np.complex128) for _ in range(2))
+    for c0 in range(0, n // 4 // n1 + 1, cols):
         c1 = c0 + cols
-        # bin m - k lies at [n1 - k1, n2 - 1 - k2], or at [0, -k2 % n2]
         np.conjugate(z[:0:-1, n2 - c1:n2 - c0][:, ::-1], out=e[1:])
         np.conjugate(z[0, -np.arange(c0, c1) % n2], out=e[0])
         np.subtract(z[:, c0:c1], e, out=d)
         e += z[:, c0:c1]
         e *= 0.5
         d *= t1[:, None]
-        d *= t2[c0:c1]                                       # w_n^k O_k
-        np.add(e, d, out=w)                                  # X_k
+        d *= t2[c0:c1]
+        yield c0, c1, e, d
+
+
+def _four_step_split(z: np.ndarray, forward: bool) -> np.ndarray:
+    """:func:`_four_step_pairs` in place: forward, ``X_k`` to bin k's slot
+    and ``X_0 + 1j*X_m`` to slot 0; backward, from them, half of ``Z``.
+    Returns ``z``.  Past bin m/2 a chunk's pairs were rewritten by earlier
+    chunks, so only pairs ``(k, m - k)`` with ``k <= m/2`` write."""
+    n1, n2 = z.shape
+    s = z[0, 0]
+    for c0, c1, e, d in _four_step_pairs(z, forward):
+        ok = np.arange(n1)[:, None] + n1 * np.arange(c0, c1) <= z.size // 2
+        every = bool(ok.all())          # a mask makes copyto 3x slower
+        np.copyto(z[:, c0:c1], e + d, where=every or ok)
+        np.conjugate(np.subtract(e, d, out=e), out=e)
+        np.copyto(z[:0:-1, n2 - c1:n2 - c0][:, ::-1], e[1:],
+                  where=every or ok[1:])
+        z[0, -np.arange(c0, c1)[ok[0]] % n2] = e[0, ok[0]]
+    z[0, 0] = complex(s.real + s.imag, s.real - s.imag) * (1 if forward else 0.5)
+    return z
+
+
+def _four_step_sums(y: np.ndarray, n1: int, band_width: int) -> np.ndarray:
+    """Band sums of ``|X_k|^2``, ``X`` the real FFT of ``y``, from the
+    pairs of :func:`_four_step_pairs` of :func:`_four_step`'s bins."""
+    n = y.size
+    m, half = n // 2, n // 4
+    z = _four_step(y, n1, True)
+    if not _all_finite(z.reshape(-1).view(np.float64)):  # overflow in pocketfft
+        raise FloatingPointError
+    sums = np.zeros(m // band_width)
+    w = None
+    for c0, c1, e, d in _four_step_pairs(z, True):
+        w = np.add(e, d, out=w)                              # X_k
         np.subtract(e, d, out=d)                             # conj X_(m-k)
+        p = e.reshape(-1).view(np.float64).reshape(2, -1)    # e, reused
         for x, power in ((w, p[0]), (d, p[1])):
             np.square(x.view(np.float64), out=x.view(np.float64))
-            np.add(x.real, x.imag, out=power.reshape(cols, n1).T)
+            np.add(x.real, x.imag, out=power.reshape(-1, n1).T)
         k0, top = n1 * c0, min(n1 * c1, m - half)
         # each run of bins first, first + 1, ... into its whole bands
         for first, run in ((max(k0, 1), p[0, max(1 - k0, 0):half + 1 - k0]),

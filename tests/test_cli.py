@@ -245,13 +245,21 @@ _F64 = np.array([0.5, -1.0, 2.0, 0.25]).astype("<f8").tobytes()
     ("slope", "n.csv", b"omega,power\n1,1\n2,nan\n", "values must be finite"),
     ("slope", "i.csv", b"omega,power\ninf,1\n2,1\n", "values must be finite"),
     ("psd", "r.csv", b"t,value\n0,1\n1,2,3\n2,3\n",
-     "the number of columns changed from 2 to 3 at row 2"),
+     "the number of columns changed from 2 to 3 at line 3\n"),
     ("slope", "r.csv", b"omega,power\n1,1\n2,1,0\n",
-     "the number of columns changed from 2 to 3 at row 2"),
-    ("acf", "s.csv", b"t,value\n0,1\n1,abc\n", "could not convert string"),
+     "the number of columns changed from 2 to 3 at line 3\n"),
+    ("acf", "s.csv", b"t,value\n0,1\n1,abc\n",
+     "could not convert string 'abc' to float64 at line 3, column 2.\n"),
+    ("psd", "c.csv", b"t,value\n# made by hand\n\n0,1\n1,2,3\n",
+     "the number of columns changed from 2 to 3 at line 5\n"),
+    ("acf", "c.csv", b"t,value\r\n0,1 # one\r\n#\r\n\r\n2,x\r\n",
+     "could not convert string 'x' to float64 at line 5, column 2.\n"),
+    ("psd", "w.csv", b"t,value\n0,1\n# c\n  \n2,3\n",
+     "the number of columns changed from 2 to 1 at line 4\n"),
 ], ids=["psd-csv-nan", "acf-csv-inf", "psd-csv-1e309", "psd-f64le-nan",
         "acf-f64le-inf", "slope-nan", "slope-inf", "psd-ragged",
-        "slope-ragged", "acf-not-a-number"])
+        "slope-ragged", "acf-not-a-number", "psd-ragged-after-comment",
+        "acf-not-a-number-after-comment-crlf", "psd-blank-is-a-row"])
 def test_file_with_bad_values_exits_2_naming_it(tmp_path, command, name,
                                                  content, cause):
     path = tmp_path / name

@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.integrate import quad
 
 import oracles
 import rednoise.models as models
+from rednoise import spectral
 from conftest import StubStream
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
@@ -427,6 +432,7 @@ def test_fgn_sample_matches_full_length_reference(n, hurst):
     # the one-array, blocked sampler on the in-place halfcomplex FFT gives
     # the bytes and draws of the reference on numpy's rfft and irfft;
     # 2**16 + 1 puts a block boundary inside both the row and the spectrum
+    assert spectral._four_step_rows(2 * n) == 0
     for dt in (1.0, 0.5):
         for seed in (0, 5):
             stream, ref_stream = GaussianStream(seed), GaussianStream(seed)
@@ -434,6 +440,48 @@ def test_fgn_sample_matches_full_length_reference(n, hurst):
             want = oracles.fgn_sample_reference(hurst, dt, n, ref_stream)
             assert got.tobytes() == want.tobytes()
             assert stream.count_drawn == ref_stream.count_drawn == 2 * n
+
+
+def _fgn_matches_reference(hurst, dt, n, seed=0):
+    # within 1e-12 of the largest value of numpy's rfft and irfft, from
+    # exactly 2n draws
+    stream, ref_stream = GaussianStream(seed), GaussianStream(seed)
+    got = increments(Fgn(hurst), dt, n, stream).values
+    want = oracles.fgn_sample_reference(hurst, dt, n, ref_stream)
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= 1e-12, err
+    assert stream.count_drawn == ref_stream.count_drawn == 2 * n
+
+
+@pytest.mark.parametrize("n, rows", [(64 * 64, 64), (97 * 1009, 97),
+                                     (2**17, 512), (64 * 200, 200),
+                                     (512 * 65, 512), (65 * 67, 67)])
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.7, 0.9])
+def test_fgn_four_step_matches_full_length_reference(monkeypatch, n, rows,
+                                                     hurst):
+    # a square split, a prime row count (fewer rows than columns), 512 rows
+    # (more rows than columns), an even row count by an odd column count,
+    # and an odd n, whose middle bin n/2 falls between two bins
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    monkeypatch.setattr(models, "_halfcomplex", None)     # not called
+    assert spectral._four_step_rows(2 * n) == rows
+    for dt in (1.0, 0.5):
+        _fgn_matches_reference(hurst, dt, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n1=st.integers(64, 150), n2=st.integers(64, 150),
+       block=st.integers(16, 2**15), hurst=st.floats(0.05, 0.95))
+def test_fgn_four_step_matches_reference_for_any_chunking(n1, n2, block,
+                                                          hurst):
+    # chunks of columns that straddle the middle bin, on any split
+    n = n1 * n2
+    with patch.object(spectral, "_FOUR_STEP_MIN", 2), \
+            patch.object(spectral, "_BLOCK", block), \
+            patch.object(models, "_BLOCK", block), \
+            patch.object(models, "_halfcomplex", None):
+        assert spectral._four_step_rows(2 * n)
+        _fgn_matches_reference(hurst, 1.0, n, seed=n)
 
 
 @pytest.mark.parametrize("n", [1000, 2**14])
@@ -454,6 +502,26 @@ def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
         increments(Fgn(0.7), 1.0, n, GaussianStream(3))
 
 
+@pytest.mark.parametrize("part, slot", [("real", (1, 0)), ("imag", (0, 0))],
+                         ids=["bin-1", "bin-n"])
+def test_fgn_four_step_negative_eigenvalue_raises(monkeypatch, part, slot):
+    # the same refusal on the four-step path: bin 1's real part, or bin n's,
+    # which slot 0 holds as its imaginary part
+    split = models._four_step_split
+
+    def broken(z, forward):
+        split(z, forward)
+        if forward:
+            getattr(z, part)[slot] = -1.0
+        return z
+
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    monkeypatch.setattr(models, "_four_step_split", broken)
+    with pytest.raises(RuntimeError,
+                       match=r"not nonnegative definite for H=0\.7, n=4096"):
+        increments(Fgn(0.7), 1.0, 4096, GaussianStream(3))
+
+
 def test_fgn_sample_large_n():
     # the direct covariance lost enough digits to make the embedding
     # indefinite at H=0.9 from n of about 3e6
@@ -466,9 +534,10 @@ def test_fgn_sample_large_n():
 def test_fgn_sample_traced_peak_per_sample():
     # one 2n-point workspace (16 bytes per sample) and the n-point copy
     # returned (8), plus a few blocks of covariances and draws (about 1.6 at
-    # this n); pocketfft's scratch is not traced (43 at the parent, on
-    # numpy's out-of-place FFTs)
+    # this n); the whole-array FFT that 2n = 2**21 takes holds pocketfft's
+    # scratch, which is not traced (43 on numpy's out-of-place FFTs)
     n = 2**20
+    assert spectral._four_step_rows(2 * n) == 0
     increments(Fgn(0.9), 1.0, 2, GaussianStream(0))   # loads the FFT extension
     tracemalloc.start()
     try:
@@ -478,6 +547,35 @@ def test_fgn_sample_traced_peak_per_sample():
         tracemalloc.stop()
     assert peak / n <= 28
     assert out.base is None                       # not a view of the workspace
+
+
+def test_fgn_sample_peak_rss_per_sample():
+    # n = 2e6 takes the four-step FFT, whose scratch does not grow with n,
+    # so the peak RSS rises by the 2n-point workspace and the n-point copy
+    # (24 bytes per sample) and a little more; pocketfft's whole-array FFT,
+    # which holds two more arrays of 2n values, rose 50.3.  Linux carries a
+    # process's peak across exec, so the sampler runs in a grandchild,
+    # under a small launcher, where no test's peak hides its own.
+    n = 2_000_000
+    script = (
+        "import resource\n"
+        "from rednoise import Fgn, GaussianStream, increments\n"
+        "increments(Fgn(0.9), 1.0, 2, GaussianStream(0))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"x = increments(Fgn(0.9), 1.0, {n}, GaussianStream(1)).values\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * 1024)\n")
+    launcher = ("import subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {script!r}], check=True)\n")
+    src = os.path.dirname(os.path.dirname(models.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert spectral._four_step_rows(2 * n)
+    proc = subprocess.run([sys.executable, "-c", launcher], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    rise = int(proc.stdout) / n
+    assert rise <= 32, rise
 
 
 def test_mixed_with_opposite_gamma_suppresses_low_frequencies():

@@ -417,6 +417,24 @@ def test_four_step_overflow_raises_naming_the_periodogram(four_step, values):
     assert np.geterr() == before
 
 
+@pytest.mark.parametrize("step", [2, -1, -3])
+@pytest.mark.parametrize("path_min", [2, 10**9], ids=["four-step", "whole"])
+def test_strided_series_gives_the_bytes_of_its_contiguous_copy(
+        monkeypatch, step, path_min):
+    # a view with any stride, on either path, is transformed as its copy
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", path_min)
+    n = 2 * 64 * 80
+    drawn = GaussianStream(15).fill(abs(step) * n)
+    assert bool(spectral._four_step_rows(n)) == (path_min == 2)
+    for bw in (1, 7):
+        x = drawn.copy()[::step]     # the spectrum overwrites its input
+        assert x.size == n and not x.flags.c_contiguous
+        got = spectral._band_spectrum(_series(x), bw)
+        want = spectral._band_spectrum(_series(drawn[::step].copy()), bw)
+        assert got.powers.tobytes() == want.powers.tobytes()
+        assert got.omegas.tobytes() == want.omegas.tobytes()
+
+
 def test_four_step_scratch_does_not_grow_with_n(four_step):
     # beside its input the four-step path holds a chunk of bins and a few
     # tables, not the two input-length arrays of the whole-array transform
