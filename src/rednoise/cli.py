@@ -195,7 +195,10 @@ def cmd_acf(args: argparse.Namespace) -> int:
 
 def cmd_slope(args: argparse.Namespace) -> int:
     data = _read_csv(args.input_path, "omega,power")
-    spec = AvgSpectrum(omegas=data[:, 0], powers=data[:, 1])
+    try:
+        spec = AvgSpectrum(omegas=data[:, 0], powers=data[:, 1])
+    except ValueError as exc:             # a negative power
+        raise ValueError(f"{args.input_path}: {exc}") from None
     slope, intercept = loglog_slope(spec, args.omega_min, args.omega_max)
     if args.out:
         write_csv(args.out, "slope,intercept",

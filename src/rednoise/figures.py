@@ -84,10 +84,10 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
     small theta).
 
     The models run on two threads: one samples while another's spectrum is
-    formed (:func:`_band_powers` decides whether two spectra may run at
-    once).  Results come back in model order, with the bits of a serial
-    run.  A slope window holding fewer than 8 band centres is rejected
-    before any draw.
+    formed (the FFT path of ``spectral._rfft`` decides whether two
+    transforms may run at once).  Results come back in model order, with
+    the bits of a serial run.  A slope window holding fewer than 8 band
+    centres is rejected before any draw.
     """
     dt, n = _check_sampling(White(), dt, n)
     band_width = _check_band_width(band_width, n // 2)

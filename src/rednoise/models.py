@@ -37,8 +37,7 @@ import numpy as np
 from ._scipy import extension
 from .series import (_BLOCK, _TINY, TimeSeries, _check_finite, _check_fraction,
                      _check_n, _check_positive, _check_rate, _check_square)
-from .spectral import (_four_step, _four_step_rows, _four_step_split,
-                       _halfcomplex)
+from .spectral import _irfft, _rfft
 from .streams import GaussianStream
 
 __all__ = [
@@ -253,13 +252,13 @@ def _fgn_values(hurst: float, dt: float, n: int, stream: GaussianStream) -> np.n
     for every n and H (Dietrich & Newsam 1997; Craigmile 2003); a negative
     eigenvalue beyond rounding raises ``RuntimeError``.  Working memory is
     one array of 2n values, transformed in place: the first row (filled in
-    ``_BLOCK``-point blocks), then its n+1 real eigenvalues in their bins'
-    real slots, then the half spectrum written over them in bin order, then
-    the real sample.  Where ``spectral._four_step_rows`` splits 2n, that is
-    Bailey's four-step FFT and its split, within 1e-12 of the largest value
-    of numpy's; elsewhere ``spectral._halfcomplex``, with the bits of
-    numpy's ``rfft`` and ``irfft`` of whole arrays.  The result is a copy
-    of the first n values, made after pocketfft's scratch is freed.
+    ``_BLOCK``-point blocks), then its n+1 real eigenvalues in the real
+    parts of its bins (``spectral._rfft``), then the half spectrum written
+    over them, then the real sample (``spectral._irfft``).  Where the
+    four-step FFT splits 2n, the sample lies within 1e-12 of the largest
+    value of numpy's; elsewhere it has the bits of numpy's ``rfft`` and
+    ``irfft`` of whole arrays.  The result is a copy of the first n values,
+    made after pocketfft's scratch is freed.
     """
     m2 = 2 * n
     y = np.empty(m2)              # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
@@ -270,44 +269,30 @@ def _fgn_values(hurst: float, dt: float, n: int, stream: GaussianStream) -> np.n
         lo, hi = max(a, 1), min(b, n)
         if lo < hi:
             y[m2 - hi + 1:m2 - lo + 1] = gamma[lo - a:hi - a][::-1]
-    n1 = _four_step_rows(m2)
-    if n1:      # eigenvalue j is bin j's real part; slot 0 holds bins 0 and n
-        z = _four_step_split(_four_step(y, n1, True), True)
-        eigs, ends = z.real, [z[0, 0].real, z[0, 0].imag]
-    else:       # eigenvalue j is y[0] (j = 0) or y[2j - 1] (0 < j <= n)
-        eigs, ends = _halfcomplex(y, True)[1::2], [y[0], y[m2 - 1]]
-    if min(ends + [eigs.min()]) < -1e-9 * max(ends + [eigs.max()]):
+    z, first, ends = _rfft(y)     # eigenvalue j is bin j's real part
+    eigs = z.real
+    if min(ends.min(), eigs.min(initial=np.inf)) < \
+            -1e-9 * max(ends.max(), eigs.max(initial=-np.inf)):
         raise RuntimeError(
             f"circulant embedding not nonnegative definite for H={hurst}, n={n}")
 
-    # Half spectrum from the draws of one fill(m2): z_0 scales bin 0, z_1
-    # bin n, and (z_2j, z_2j+1) bin j.  Each eigenvalue is read before its
-    # slots are overwritten.  The four-step split backward halves the bins,
-    # so there the amplitudes are doubled.
-    scale = m2 / 4 if n1 else m2
-    ends = np.sqrt(np.clip(ends, 0.0, None) / scale) * stream.fill(2)
-    if n1:
-        cols = max(1, _BLOCK // n1)
-        for c0 in range(0, z.shape[1], cols):
-            block = z[:, c0:c0 + cols]      # bins n1 c0 on, down each column
-            draws = stream.fill(2 * (block.size - (c0 == 0))).view(np.complex128)
-            draws = np.r_[0.0, draws] if c0 == 0 else draws  # bin 0 drew first
-            np.multiply(np.sqrt(np.clip(block.real, 0.0, None) / (2.0 * scale)),
-                        draws.reshape(-1, n1).T, out=block)
-        z[0, 0] = complex(*ends)
-        _four_step_split(z, False)
-        _four_step(y, n1, False)
-    else:
-        y[[0, m2 - 1]] = ends
-        for a in range(1, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            re, im = slice(2 * a - 1, 2 * b - 1, 2), slice(2 * a, 2 * b, 2)
-            half = np.sqrt(np.clip(y[re], 0.0, None) / (2.0 * m2))
-            z = stream.fill(2 * (b - a))
-            y[re] = half * z[::2]
-            y[im] = half * z[1::2]
-        _halfcomplex(y, False)        # the bins carry the 1/m2
-    return y[:n] * dt**hurst
+    # Half spectrum from the draws of one fill(m2), in bin order: z_0 scales
+    # bin 0, z_1 bin n, and (z_2j, z_2j+1) bin j.  Each eigenvalue is read
+    # before its slots are overwritten.  Where slot 0 packs bins 0 and n, it
+    # takes no draw in the loop and is written last.
+    amps = np.sqrt(np.clip(ends, 0.0, None) / m2) * stream.fill(2)
+    n1 = z.shape[0]
+    cols = max(1, _BLOCK // n1)
+    for c0 in range(0, z.shape[1], cols):
+        block = z[:, c0:c0 + cols]          # slots n1 c0 on, down each column
+        lead = 1 - first if c0 == 0 else 0
+        draws = stream.fill(2 * (block.size - lead)).view(np.complex128)
+        if lead:
+            draws = np.r_[0.0, draws]
+        np.multiply(np.sqrt(np.clip(block.real, 0.0, None) / (2.0 * m2)),
+                    draws.reshape(-1, n1).T, out=block)
+    ends[:] = amps
+    return _irfft(y, z, first)[:n] * dt**hurst
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ _F64 = np.array([0.5, -1.0, 2.0, 0.25]).astype("<f8").tobytes()
      "the number of columns changed from 2 to 3 at line 3\n"),
     ("slope", "r.csv", b"omega,power\n1,1\n2,1,0\n",
      "the number of columns changed from 2 to 3 at line 3\n"),
+    ("slope", "g.csv", b"omega,power\n1,1\n2,-1\n3,1\n",
+     "powers must be nonnegative, got -1.0 at omega=2.0\n"),
     ("acf", "s.csv", b"t,value\n0,1\n1,abc\n",
      "could not convert string 'abc' to float64 at line 3, column 2.\n"),
     ("psd", "c.csv", b"t,value\n# made by hand\n\n0,1\n1,2,3\n",
@@ -258,8 +260,9 @@ _F64 = np.array([0.5, -1.0, 2.0, 0.25]).astype("<f8").tobytes()
      "the number of columns changed from 2 to 1 at line 4\n"),
 ], ids=["psd-csv-nan", "acf-csv-inf", "psd-csv-1e309", "psd-f64le-nan",
         "acf-f64le-inf", "slope-nan", "slope-inf", "psd-ragged",
-        "slope-ragged", "acf-not-a-number", "psd-ragged-after-comment",
-        "acf-not-a-number-after-comment-crlf", "psd-blank-is-a-row"])
+        "slope-ragged", "slope-negative-power", "acf-not-a-number",
+        "psd-ragged-after-comment", "acf-not-a-number-after-comment-crlf",
+        "psd-blank-is-a-row"])
 def test_file_with_bad_values_exits_2_naming_it(tmp_path, command, name,
                                                  content, cause):
     path = tmp_path / name
@@ -312,7 +315,8 @@ def test_slope_rejects_negative_power(tmp_path, capsys):
     code, out, err = run(capsys, "slope", "--in", str(spec),
                          "--omega-min", "5", "--omega-max", "20")
     assert code == 2 and out == ""
-    assert err == "error: powers must be nonnegative, got -0.25 at omega=3.0\n"
+    assert err == (f"error: {spec}: powers must be nonnegative, got -0.25 "
+                   "at omega=3.0\n")
 
 
 @pytest.mark.parametrize("exc, cause", [

@@ -126,6 +126,25 @@ def test_src_imports_are_used():
     assert unused == []
 
 
+def test_fft_paths_stay_inside_spectral():
+    # the FFT path choice, its bin layout and the whole-array lock live in
+    # spectral alone: other modules reach the bins through _rfft and _irfft
+    def internal(name):
+        return name in ("_halfcomplex", "_SPECTRUM_LOCK") or \
+            name.startswith("_four_step")
+
+    found = []
+    for path in sorted(Path(rednoise.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] \
+                if isinstance(node, ast.ImportFrom) else \
+                [node.attr] if isinstance(node, ast.Attribute) else []
+            found += [f"{path.stem}: {name}" for name in names if internal(name)]
+    assert found == []
+
+
 def test_all_is_one_literal_list():
     # the export count is read from the source by parsing this literal, so a
     # computed __all__ (star imports, concatenation) would be miscounted

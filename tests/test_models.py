@@ -463,7 +463,7 @@ def test_fgn_four_step_matches_full_length_reference(monkeypatch, n, rows,
     # (more rows than columns), an even row count by an odd column count,
     # and an odd n, whose middle bin n/2 falls between two bins
     monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
-    monkeypatch.setattr(models, "_halfcomplex", None)     # not called
+    monkeypatch.setattr(spectral, "_halfcomplex", None)     # not called
     assert spectral._four_step_rows(2 * n) == rows
     for dt in (1.0, 0.5):
         _fgn_matches_reference(hurst, dt, n)
@@ -479,7 +479,7 @@ def test_fgn_four_step_matches_reference_for_any_chunking(n1, n2, block,
     with patch.object(spectral, "_FOUR_STEP_MIN", 2), \
             patch.object(spectral, "_BLOCK", block), \
             patch.object(models, "_BLOCK", block), \
-            patch.object(models, "_halfcomplex", None):
+            patch.object(spectral, "_halfcomplex", None):
         assert spectral._four_step_rows(2 * n)
         _fgn_matches_reference(hurst, 1.0, n, seed=n)
 
@@ -488,7 +488,7 @@ def test_fgn_four_step_matches_reference_for_any_chunking(n1, n2, block,
 def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
     # corrupt one eigenvalue of the embedding: there is no fallback, so the
     # sampler must refuse and name H and n
-    halfcomplex = models._halfcomplex
+    halfcomplex = spectral._halfcomplex
 
     def broken(y, forward):
         halfcomplex(y, forward)
@@ -496,7 +496,7 @@ def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
             y[1] = -1.0                  # the real part of bin 1
         return y
 
-    monkeypatch.setattr(models, "_halfcomplex", broken)
+    monkeypatch.setattr(spectral, "_halfcomplex", broken)
     with pytest.raises(RuntimeError,
                        match=rf"not nonnegative definite for H=0\.7, n={n}"):
         increments(Fgn(0.7), 1.0, n, GaussianStream(3))
@@ -507,7 +507,7 @@ def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
 def test_fgn_four_step_negative_eigenvalue_raises(monkeypatch, part, slot):
     # the same refusal on the four-step path: bin 1's real part, or bin n's,
     # which slot 0 holds as its imaginary part
-    split = models._four_step_split
+    split = spectral._four_step_split
 
     def broken(z, forward):
         split(z, forward)
@@ -516,7 +516,7 @@ def test_fgn_four_step_negative_eigenvalue_raises(monkeypatch, part, slot):
         return z
 
     monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
-    monkeypatch.setattr(models, "_four_step_split", broken)
+    monkeypatch.setattr(spectral, "_four_step_split", broken)
     with pytest.raises(RuntimeError,
                        match=r"not nonnegative definite for H=0\.7, n=4096"):
         increments(Fgn(0.7), 1.0, 4096, GaussianStream(3))

@@ -392,6 +392,55 @@ def test_four_step_matches_rfft_for_any_chunking(n1, n2, bw, block, dt):
         _matches_rfft(values, min(bw, n // 2), dt)
 
 
+@pytest.mark.parametrize("n, rows", [(2, 0), (3, 0), (17, 0), (4097, 0),
+                                     (2**17 + 1, 0), (2 * 64 * 64, 64),
+                                     (2 * 97 * 1009, 97), (2**17, 512)])
+def test_rfft_puts_each_bin_at_its_documented_slot(monkeypatch, n, rows):
+    # bin k at [(k - first) % n1, (k - first) // n1], bins 0 and n/2 in
+    # ends: numpy's bits on the whole-array path, within 1e-12 of the
+    # largest on a square, a prime-row and a 512-row four-step split; and
+    # _irfft undoes the transform, times n
+    if rows:
+        monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    assert spectral._four_step_rows(n) == rows
+    x = GaussianStream(n).fill(n)
+    want = np.fft.rfft(x)
+    y = x.copy()
+    z, first, ends = spectral._rfft(y)
+    n1 = z.shape[0]
+    assert (n1, first) == ((rows, 0) if rows else (1, 1))
+    assert np.shares_memory(ends, y)                    # in place
+    assert n == 2 or np.shares_memory(z, y)             # z is empty at n = 2
+    assert ends.size == 2 - n % 2
+    k = np.arange(1, (n + 1) // 2)          # the bins with an imaginary part
+    got = np.r_[ends[:1], z[(k - first) % n1, (k - first) // n1], ends[1:]]
+    back = spectral._irfft(y, z, first)
+    assert back is y
+    if rows:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(y - n * x).max() <= 1e-12 * n * np.abs(x).max()
+    else:
+        assert got.tobytes() == want.tobytes()
+        assert y.tobytes() == np.fft.irfft(want, n, norm="forward").tobytes()
+
+
+@pytest.mark.parametrize("n", [2 * 64 * 64, 2 * 97 * 1009, 2**17])
+@pytest.mark.parametrize("bw", [1, 3, 1000])
+def test_four_step_band_powers_are_band_means_of_its_bins(four_step, n, bw):
+    # one formula on both paths: each band is band_average's mean of the
+    # periodogram of _rfft's own bins, bit for bit
+    dt = 0.1
+    x = GaussianStream(n).fill(n) * 3.0
+    z, first, ends = spectral._rfft(x.copy())
+    n1 = z.shape[0]
+    k = np.arange(1, n // 2 + 1) - first
+    bins = np.r_[z[k[:-1] % n1, k[:-1] // n1], ends[1]]
+    pg = AvgSpectrum(omegas=2 * np.pi * np.arange(1, n // 2 + 1) / (n * dt),
+                     powers=(bins.real**2 + bins.imag**2) / (n * dt))
+    got = spectral._band_spectrum(_series(x, dt), bw)
+    assert got.powers.tobytes() == band_average(pg, bw).powers.tobytes()
+
+
 def test_short_odd_and_unsplit_lengths_keep_the_whole_array_path(monkeypatch):
     # odd n, m = n/2 with no split into two factors of at least 64, and n
     # below the length floor
