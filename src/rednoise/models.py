@@ -257,8 +257,9 @@ def _fgn_values(hurst: float, dt: float, n: int, stream: GaussianStream) -> np.n
     over them, then the real sample (``spectral._irfft``).  Where the
     four-step FFT splits 2n, the sample lies within 1e-12 of the largest
     value of numpy's; elsewhere it has the bits of numpy's ``rfft`` and
-    ``irfft`` of whole arrays.  The result is a copy of the first n values,
-    made after pocketfft's scratch is freed.
+    ``irfft`` of whole arrays.  The result is the workspace itself, shrunk
+    in place to its first n values and scaled there: no copy is made, and
+    it owns its n values.
     """
     m2 = 2 * n
     y = np.empty(m2)              # [gamma_0 .. gamma_n, gamma_{n-1} .. gamma_1]
@@ -292,7 +293,10 @@ def _fgn_values(hurst: float, dt: float, n: int, stream: GaussianStream) -> np.n
         np.multiply(np.sqrt(np.clip(block.real, 0.0, None) / (2.0 * m2)),
                     draws.reshape(-1, n1).T, out=block)
     ends[:] = amps
-    return _irfft(y, z, first)[:n] * dt**hurst
+    _irfft(y, z, first)
+    z = ends = eigs = block = None      # no view of y is left: resize checks
+    y.resize(n)                         # the first n values, in place
+    return np.multiply(y, dt**hurst, out=y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ The FFT is pocketfft's, run in place through scipy's compiled
 without the ``scipy.fft`` package), for the band spectra here and for the
 fGn sampler's 2n-point embedding (``models``).  ``_rfft`` and ``_irfft``
 take one of two paths and give both one bin layout, so their callers have
-one body.  Odd ``n``, ``n`` below ``_FOUR_STEP_MIN`` and an ``n/2`` with no
-split into two factors of at least 64 take the whole-array real FFT: numpy
-vendors the same kernel, so every bin has the bits of ``np.fft.rfft``, but
-pocketfft holds two more arrays of the input's length, so one such
-transform runs at a time, whichever command takes it (``_SPECTRUM_LOCK``).
-The rest take a four-step FFT, whose scratch does not grow with ``n``; its
+one body.  Odd ``n``, ``n`` below ``_FOUR_STEP_MIN`` (2^20) and an ``n/2``
+with no split into two factors of at least 64 take the whole-array real
+FFT: numpy vendors the same kernel, so every bin has the bits of
+``np.fft.rfft``, but pocketfft holds two more arrays of the input's length
+(under 16 MiB together below the floor), so one such transform runs at a
+time, whichever command takes it (``_SPECTRUM_LOCK``).  The rest take a
+four-step FFT, whose scratch does not grow with ``n``; its
 band powers lie within 1e-12 of the largest band power of
 ``np.fft.rfft``'s (about 1e-15 is seen), not bit for bit.  Both release
 the interpreter lock, so ``fig1`` samples one model while another's
@@ -43,15 +44,19 @@ __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
 # formed and summed in buffers of about this size.  At least 128, the size
 # below which numpy itself stops splitting.
 _ACF_LEAF = 1 << 16
-# Shortest even series that takes the four-step transform.  The paths cross
-# between 2e6 and 4e6 points: one spectrum on one thread, 46.5 ms whole-array
-# against 45.2 ms four-step at 2e6 and 119.0/113.7 at 4e6 (medians of 15;
-# numpy 2.4).  Below it the whole-array FFT, no slower, keeps numpy's bits.
-_FOUR_STEP_MIN = 4_000_000
+# Shortest even series that takes the four-step transform.  Below it the
+# whole-array FFT keeps numpy's bits, and pocketfft's two extra arrays stay
+# under 16 MiB together.  From it they are saved: `psd --band-width 100` of
+# 2^21 and 3e6 points peaks at 47.1 and 54.1 MB against 78.5 and 99.2, in
+# 0.208 and 0.218 s against 0.217 and 0.227 (medians of 10 alternating
+# pairs; numpy 2.4), though one spectrum in process takes 56 against 47 ms
+# at 2^21.  A floor of 2^16 took `theorem --replicas 256`, whose replicas
+# hold 1e5 points, from 0.93 to 1.04 s.
+_FOUR_STEP_MIN = 1 << 20
 # One whole-array real FFT at a time, held by _rfft and _irfft around the
-# transform alone: pocketfft's holds two more arrays of its input's length,
-# so two at once would double the peak.  The four-step transform's scratch
-# does not grow with n; it takes no lock.
+# transform alone: pocketfft's holds two more arrays of its input's length
+# (odd, unsplit or below 2^20 points), so two at once would double the
+# peak.  The four-step transform's scratch does not grow with n; no lock.
 _SPECTRUM_LOCK = threading.Lock()
 
 
@@ -201,7 +206,7 @@ def _four_step(z: np.ndarray, forward: bool) -> np.ndarray:
     if not forward:
         hi, lo = hi.conj(), lo.conj()
     span = max(d for d in range(1, math.isqrt(n2) + 1) if n2 % d == 0)
-    rows = max(1, _BLOCK // 16 // n2)
+    rows = max(1, _BLOCK // 4 // n2)
     for r0 in range(1, n1, rows):
         k1 = np.arange(r0, min(r0 + rows, n1))[:, None]
         block = z[r0:r0 + k1.size].reshape(k1.size, -1, span)
@@ -341,7 +346,9 @@ def _band_spectrum(series: TimeSeries, band_width: int) -> AvgSpectrum:
     of :func:`_rfft`'s bins, hence the same bits.
     It streams to save memory, not time: built whole, with the same bytes,
     the peak RSS of ``fig1 --n 8000000`` rose from 292.6 to 314.8 MB
-    (median of 5 alternating runs; Python 3.11, numpy 2.4).
+    (median of 5 alternating runs; Python 3.11, numpy 2.4).  Beside
+    ``series.values`` it holds the bands and the FFT's scratch: a few chunks
+    of bins on the four-step path, else pocketfft's two arrays of n values.
     """
     values = series.values
     n = values.size

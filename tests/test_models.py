@@ -1,8 +1,5 @@
 import dataclasses
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -14,7 +11,7 @@ from scipy.integrate import quad
 import oracles
 import rednoise.models as models
 from rednoise import spectral
-from conftest import StubStream
+from conftest import StubStream, peak_rss_rise
 from rednoise import (Ar1Driven, ContinuousSystemParams, DiffU,
                       DiscreteSystemParams, Fgn, GaussianStream, Mixed, RedOuDt,
                       TimeSeries, White, band_average, empirical_acf,
@@ -484,6 +481,16 @@ def test_fgn_four_step_matches_reference_for_any_chunking(n1, n2, block,
         _fgn_matches_reference(hurst, 1.0, n, seed=n)
 
 
+@pytest.mark.parametrize("hurst", [0.1, 0.9])
+def test_fgn_at_the_length_floor_takes_the_four_step_path(hurst):
+    # 2n = 2**20, the shortest embedding the shipped floor sends to the
+    # four-step FFT, unpatched; a split 2n just below it keeps numpy's
+    n = 2**19
+    assert spectral._four_step_rows(2 * n) == 512
+    assert spectral._four_step_rows(2 * n - 128) == 0
+    _fgn_matches_reference(hurst, 1.0, n)
+
+
 @pytest.mark.parametrize("n", [1000, 2**14])
 def test_fgn_negative_eigenvalue_raises(monkeypatch, n):
     # corrupt one eigenvalue of the embedding: there is no fallback, so the
@@ -532,12 +539,13 @@ def test_fgn_sample_large_n():
 
 
 def test_fgn_sample_traced_peak_per_sample():
-    # one 2n-point workspace (16 bytes per sample) and the n-point copy
-    # returned (8), plus a few blocks of covariances and draws (about 1.6 at
-    # this n); the whole-array FFT that 2n = 2**21 takes holds pocketfft's
-    # scratch, which is not traced (43 on numpy's out-of-place FFTs)
+    # one 2n-point workspace (16 bytes per sample), shrunk in place to the n
+    # values returned, plus a few blocks of covariances and draws and the
+    # chunks of the four-step FFT that 2n = 2**21 takes, all traced (20.6
+    # in all at this n; pocketfft's whole-array scratch is not); a copy of
+    # the sample would add 8
     n = 2**20
-    assert spectral._four_step_rows(2 * n) == 0
+    assert spectral._four_step_rows(2 * n) == 512
     increments(Fgn(0.9), 1.0, 2, GaussianStream(0))   # loads the FFT extension
     tracemalloc.start()
     try:
@@ -545,37 +553,23 @@ def test_fgn_sample_traced_peak_per_sample():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n <= 28
-    assert out.base is None                       # not a view of the workspace
+    assert peak / n <= 22, peak / n
+    assert out.base is None and out.nbytes == 8 * n   # owns its n values
 
 
 def test_fgn_sample_peak_rss_per_sample():
     # n = 2e6 takes the four-step FFT, whose scratch does not grow with n,
-    # so the peak RSS rises by the 2n-point workspace and the n-point copy
-    # (24 bytes per sample) and a little more; pocketfft's whole-array FFT,
-    # which holds two more arrays of 2n values, rose 50.3.  Linux carries a
-    # process's peak across exec, so the sampler runs in a grandchild,
-    # under a small launcher, where no test's peak hides its own.
+    # and the sample is the 2n-point workspace shrunk in place, so the peak
+    # RSS rises by that workspace (16 bytes per sample) and a few blocks
+    # (18.6 in all); a copy of the sample rose 25.2, and pocketfft's
+    # whole-array FFT, which holds two more arrays of 2n values, 50.3
     n = 2_000_000
-    script = (
-        "import resource\n"
-        "from rednoise import Fgn, GaussianStream, increments\n"
-        "increments(Fgn(0.9), 1.0, 2, GaussianStream(0))\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"x = increments(Fgn(0.9), 1.0, {n}, GaussianStream(1)).values\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print((after - before) * 1024)\n")
-    launcher = ("import subprocess, sys\n"
-                f"subprocess.run([sys.executable, '-c', {script!r}], check=True)\n")
-    src = os.path.dirname(os.path.dirname(models.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     assert spectral._four_step_rows(2 * n)
-    proc = subprocess.run([sys.executable, "-c", launcher], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    rise = int(proc.stdout) / n
-    assert rise <= 32, rise
+    rise = peak_rss_rise(
+        "from rednoise import Fgn, GaussianStream, increments\n"
+        "increments(Fgn(0.9), 1.0, 2, GaussianStream(0))",
+        f"x = increments(Fgn(0.9), 1.0, {n}, GaussianStream(1)).values") / n
+    assert rise <= 20, rise
 
 
 def test_mixed_with_opposite_gamma_suppresses_low_frequencies():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import peak_rss_rise
 from rednoise import spectral
 from rednoise import (Ar1Driven, AvgSpectrum, DiffU, Fgn, GaussianStream,
                       Mixed, RedOuDt, TimeSeries, White, band_average,
@@ -150,13 +151,13 @@ def test_band_spectrum_matches_for_any_chunking(n, bw, chunk, dt):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 4097, 8192, 65537, 100003,
-                               2**21, 2**21 + 1])
+                               2**19, 2**21 + 1])
 @pytest.mark.parametrize("bw", [1, 7, 1000])
 def test_in_place_fft_has_the_bits_of_numpys_rfft(n, bw):
     # the halfcomplex transform against the body written on np.fft.rfft:
     # even and odd n (a real Nyquist bin or none), prime n (pocketfft's
     # Bluestein path), bands straddling chunk edges, and even n that split
-    # but are too short for the four-step path (fig1 --quick's 2**21)
+    # but are too short for the four-step path (2**19, below its 2**20 floor)
     assert spectral._four_step_rows(n) == 0
     bw = min(bw, n // 2)
     values = GaussianStream(n).fill(n) * 3.0
@@ -377,6 +378,17 @@ def test_four_step_band_spectrum_matches_rfft(four_step, n, rows, bw):
         assert got.powers[-1] == pytest.approx(want.powers[-1], rel=1e-12)
 
 
+@pytest.mark.parametrize("bw", [1, 7, 1000])
+def test_four_step_at_the_shipped_floor_matches_rfft(bw):
+    # unpatched, fig1 --quick's 2**21 takes the four-step path, as does the
+    # floor 2**20, and a split length just below the floor does not
+    assert spectral._four_step_rows(2**20) == 512
+    assert spectral._four_step_rows(2**20 - 128) == 0
+    n = 2**21
+    assert spectral._four_step_rows(n) == 512
+    _matches_rfft(GaussianStream(n).fill(n) * 3.0, bw)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n1=st.integers(64, 150), n2=st.integers(64, 150),
        bw=st.integers(1, 3000), block=st.integers(16, 2**15),
@@ -482,6 +494,27 @@ def test_strided_series_gives_the_bytes_of_its_contiguous_copy(
         want = spectral._band_spectrum(_series(drawn[::step].copy()), bw)
         assert got.powers.tobytes() == want.powers.tobytes()
         assert got.omegas.tobytes() == want.omegas.tobytes()
+
+
+def test_psd_peak_rss_per_sample_at_a_four_step_length(tmp_path):
+    # psd of 2**21 points, on the four-step path with the shipped floor: the
+    # peak RSS rises by the input read (8 bytes per sample) and bounded
+    # scratch (8.3 in all); the whole-array FFT, which holds two more arrays
+    # of the input's length, rose 24
+    n = 2**21
+    assert spectral._four_step_rows(n)
+    for name, size in (("small", 4096), ("long", n)):
+        values = GaussianStream(4).fill(size).astype("<f8")
+        values.tofile(tmp_path / f"{name}.f64le")
+
+    def psd(name):
+        argv = ["psd", "--in", str(tmp_path / f"{name}.f64le"), "--dt", "1",
+                "--band-width", "100", "--out", str(tmp_path / f"{name}.csv")]
+        return f"main({argv!r})"
+
+    rise = peak_rss_rise("from rednoise.cli import main\n" + psd("small"),
+                         psd("long")) / n
+    assert rise <= 12, rise
 
 
 def test_four_step_scratch_does_not_grow_with_n(four_step):
