@@ -279,7 +279,10 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
 
     def replica(child):
         dy = increments(alpha_model, dt, n, child).values
-        dy += beta * np.sqrt(dt) * child.fill(n)
+        white = child.fill(n)           # scaled in place, freed before the FFT
+        white *= beta * np.sqrt(dt)
+        dy += white
+        del white
         return _band_powers(dy, dt, 1)
 
     mean_powers = None

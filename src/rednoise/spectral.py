@@ -18,7 +18,9 @@ FFT: numpy vendors the same kernel, so every bin has the bits of
 ``np.fft.rfft``, but pocketfft holds two more arrays of the input's length
 (under 16 MiB together below the floor), so one such transform runs at a
 time, whichever command takes it (``_SPECTRUM_LOCK``).  The rest take a
-four-step FFT, whose scratch does not grow with ``n``; its
+four-step FFT, whose scratch does not grow with ``n``: its twiddles go a
+block of rows at a time, and its split into the real FFT's bins a piece
+of a row at a time, on 1-D slices that need no numpy iterator buffer; its
 band powers lie within 1e-12 of the largest band power of
 ``np.fft.rfft``'s (about 1e-15 is seen), not bit for bit.  Both release
 the interpreter lock, so ``fig1`` samples one model while another's
@@ -58,6 +60,9 @@ _FOUR_STEP_MIN = 1 << 20
 # (odd, unsplit or below 2^20 points), so two at once would double the
 # peak.  The four-step transform's scratch does not grow with n; no lock.
 _SPECTRUM_LOCK = threading.Lock()
+# Most columns of a row that _four_step_split forms at a time: two buffers
+# of 32 KiB, which stay in cache.
+_SPLIT_COLS = 2048
 
 
 @dataclass(frozen=True)
@@ -224,39 +229,47 @@ def _four_step_split(z: np.ndarray, forward: bool) -> np.ndarray:
     bins ``Z`` of n real values read as ``m = n/2`` complex ones: forward,
     their real FFT's ``X_k`` to bin k's slot and ``X_0 + 1j*X_m`` to slot 0;
     backward, from them, ``2 Z``, whose backward :func:`_four_step` is n
-    times the real sequence.  Returns ``z``.  Per chunk of columns up to bin
-    m/2, ``2e = Z_k + conj Z_(m-k)`` and ``d = w_n^k (Z_k - conj Z_(m-k)) /
-    2i`` give ``e + d = X_k`` and ``e - d = conj X_(m-k)`` (backward, with
-    conjugate twiddles and no halving, ``2 Z_k`` and ``2 conj Z_(m-k)``).
-    Bin ``m - k`` lies at ``[n1 - k1, n2 - 1 - k2]``, or at ``[0, -k2 %
-    n2]``.  Past bin m/2 a chunk's pairs were rewritten by earlier chunks,
-    so only pairs ``(k, m - k)`` with ``k <= m/2`` write."""
+    times the real sequence.  Returns ``z``.  Each pair ``(k, m - k)`` with
+    ``0 < k <= m/2`` is formed once, from its ``k`` side: ``2e = Z_k + conj
+    Z_(m-k)`` and ``d = w_n^k (Z_k - conj Z_(m-k)) / 2i`` give ``e + d =
+    X_k`` and ``e - d = conj X_(m-k)`` (backward, with conjugate twiddles
+    and no halving, ``2 Z_k`` and ``2 conj Z_(m-k)``).  Row r's bins
+    ``k = r + n1 k2 <= m/2`` are the front of the row, and their partners
+    the back of row ``n1 - r`` read backwards; row 0 pairs column k2 with
+    column ``n2 - k2`` and leaves bin 0 to the last line.  So every operand
+    is a 1-D slice of a row, which numpy runs without an iterator buffer.
+    A row goes in even pieces of at most ``_SPLIT_COLS`` columns, so the
+    scratch does not grow with n; no piece is one column long unless its
+    row is, since numpy multiplies one value in place without the fused
+    multiply-add of its vector loop.  The self-paired bin m/2, in row 0 or
+    row n1/2, is written as ``X_k``, then as its partner."""
     (n1, n2), m = z.shape, z.size
     t1 = -0.5j * np.exp(-2j * np.pi * np.arange(n1) / (2 * m))  # w_n^k1 / 2i
     t2 = np.exp(-1j * np.pi * np.arange(n2) / n2)                # w_n^(n1 k2)
     if not forward:
         t1, t2 = 2 * t1.conj(), t2.conj()
-    # e, d and numpy's buffer for the strided writes: about 48 bytes a bin
-    cols = max(1, min(_BLOCK // 10 // n1, n2 // 2))
-    e, d = (np.empty((n1, cols), np.complex128) for _ in range(2))
+    e, d = (np.empty(min(_SPLIT_COLS, n2 // 2 + 1), np.complex128)
+            for _ in range(2))
     s = z[0, 0]
-    for c0 in range(0, m // 2 // n1 + 1, cols):
-        c1 = c0 + cols
-        np.conjugate(z[:0:-1, n2 - c1:n2 - c0][:, ::-1], out=e[1:])
-        np.conjugate(z[0, -np.arange(c0, c1) % n2], out=e[0])
-        np.subtract(z[:, c0:c1], e, out=d)
-        e += z[:, c0:c1]
-        if forward:
-            e *= 0.5
-        d *= t1[:, None]
-        d *= t2[c0:c1]
-        ok = np.arange(n1)[:, None] <= m // 2 - n1 * np.arange(c0, c1)
-        every = bool(ok.all())          # a mask makes the writes 3x slower
-        np.add(e, d, out=z[:, c0:c1], where=every or ok)
-        np.subtract(e, d, out=e)
-        np.conjugate(e[1:], out=z[:0:-1, n2 - c1:n2 - c0][:, ::-1],
-                     where=every or ok[1:])
-        z[0, -np.arange(c0, c1)[ok[0]] % n2] = e[0, ok[0]].conj()
+    for r in range(n1):
+        back = z[-r, ::-1]                  # bin m - k at back[k2 - shift]
+        shift = 0 if r else 1
+        cols = (m // 2 - r) // n1 + 1 - shift
+        pieces = -(-cols // e.size)
+        cuts = [shift + cols * i // pieces for i in range(pieces + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            zk, zm = z[r, a:b], back[a - shift:b - shift]
+            ee, dd = e[:b - a], d[:b - a]
+            np.conjugate(zm, out=ee)
+            np.subtract(zk, ee, out=dd)
+            ee += zk
+            if forward:
+                ee *= 0.5
+            dd *= t1[r]
+            dd *= t2[a:b]
+            np.add(ee, dd, out=zk)
+            np.subtract(ee, dd, out=ee)
+            np.conjugate(ee, out=zm)
     z[0, 0] = complex(s.real + s.imag, s.real - s.imag)
     return z
 

@@ -411,6 +411,42 @@ def band_spectrum_rfft(series, band_width: int):
     return AvgSpectrum(omegas=omegas, powers=powers)
 
 
+def four_step_split_columns(z, forward: bool):
+    """``rednoise.spectral._four_step_split`` as it was written a chunk of
+    whole columns at a time, each chunk's pairs formed in ``(n1, cols)``
+    arrays and only those with ``k <= m/2`` written back through masks.  The
+    package's row-by-row split must give its bytes, forward and backward,
+    on every split with both factors at least 64."""
+    from rednoise.spectral import _BLOCK
+    (n1, n2), m = z.shape, z.size
+    t1 = -0.5j * np.exp(-2j * np.pi * np.arange(n1) / (2 * m))
+    t2 = np.exp(-1j * np.pi * np.arange(n2) / n2)
+    if not forward:
+        t1, t2 = 2 * t1.conj(), t2.conj()
+    cols = max(1, min(_BLOCK // 10 // n1, n2 // 2))
+    e, d = (np.empty((n1, cols), np.complex128) for _ in range(2))
+    s = z[0, 0]
+    for c0 in range(0, m // 2 // n1 + 1, cols):
+        c1 = c0 + cols
+        np.conjugate(z[:0:-1, n2 - c1:n2 - c0][:, ::-1], out=e[1:])
+        np.conjugate(z[0, -np.arange(c0, c1) % n2], out=e[0])
+        np.subtract(z[:, c0:c1], e, out=d)
+        e += z[:, c0:c1]
+        if forward:
+            e *= 0.5
+        d *= t1[:, None]
+        d *= t2[c0:c1]
+        ok = np.arange(n1)[:, None] <= m // 2 - n1 * np.arange(c0, c1)
+        every = bool(ok.all())
+        np.add(e, d, out=z[:, c0:c1], where=every or ok)
+        np.subtract(e, d, out=e)
+        np.conjugate(e[1:], out=z[:0:-1, n2 - c1:n2 - c0][:, ::-1],
+                     where=every or ok[1:])
+        z[0, -np.arange(c0, c1)[ok[0]] % n2] = e[0, ok[0]].conj()
+    z[0, 0] = complex(s.real + s.imag, s.real - s.imag)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # empirical autocovariance over whole arrays
 # ---------------------------------------------------------------------------

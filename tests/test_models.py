@@ -482,6 +482,23 @@ def test_fgn_four_step_matches_reference_for_any_chunking(n1, n2, block,
 
 
 @pytest.mark.parametrize("hurst", [0.1, 0.9])
+def test_fgn_four_step_bytes_do_not_depend_on_the_scratch_size(monkeypatch,
+                                                               hurst):
+    # covariance blocks of 128 to 8192 lags and draw chunks of 1 to 40
+    # columns of the (200, 64) split give one sample, bit for bit
+    monkeypatch.setattr(spectral, "_FOUR_STEP_MIN", 2)
+    n = 64 * 200
+    assert spectral._four_step_rows(2 * n) == 200
+    got = set()
+    for block in (2**10, 2**13, 2**16):
+        monkeypatch.setattr(models, "_BLOCK", block)
+        stream = GaussianStream(9)
+        got.add(increments(Fgn(hurst), 1.0, n, stream).values.tobytes())
+        assert stream.count_drawn == 2 * n
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.9])
 def test_fgn_at_the_length_floor_takes_the_four_step_path(hurst):
     # 2n = 2**20, the shortest embedding the shipped floor sends to the
     # four-step FFT, unpatched; a split 2n just below it keeps numpy's
@@ -540,10 +557,11 @@ def test_fgn_sample_large_n():
 
 def test_fgn_sample_traced_peak_per_sample():
     # one 2n-point workspace (16 bytes per sample), shrunk in place to the n
-    # values returned, plus a few blocks of covariances and draws and the
-    # chunks of the four-step FFT that 2n = 2**21 takes, all traced (20.6
-    # in all at this n; pocketfft's whole-array scratch is not); a copy of
-    # the sample would add 8
+    # values returned, plus a block of covariances, a chunk of draws and the
+    # pieces of the four-step FFT that 2n = 2**21 takes, all traced (16.6
+    # in all at this n, 20.6 with blocks of 2**16 lags and whole-column
+    # split chunks; pocketfft's whole-array scratch is not); a copy of the
+    # sample would add 8
     n = 2**20
     assert spectral._four_step_rows(2 * n) == 512
     increments(Fgn(0.9), 1.0, 2, GaussianStream(0))   # loads the FFT extension
@@ -553,23 +571,24 @@ def test_fgn_sample_traced_peak_per_sample():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n <= 22, peak / n
+    assert peak / n <= 17, peak / n
     assert out.base is None and out.nbytes == 8 * n   # owns its n values
 
 
 def test_fgn_sample_peak_rss_per_sample():
     # n = 2e6 takes the four-step FFT, whose scratch does not grow with n,
     # and the sample is the 2n-point workspace shrunk in place, so the peak
-    # RSS rises by that workspace (16 bytes per sample) and a few blocks
-    # (18.6 in all); a copy of the sample rose 25.2, and pocketfft's
-    # whole-array FFT, which holds two more arrays of 2n values, 50.3
+    # RSS rises by that workspace (16 bytes per sample) and a few chunks
+    # (16.3 in all; 18.6 with blocks of 2**16 lags and draw chunks of 2**16
+    # bins); a copy of the sample rose 25.2, and pocketfft's whole-array
+    # FFT, which holds two more arrays of 2n values, 50.3
     n = 2_000_000
     assert spectral._four_step_rows(2 * n)
     rise = peak_rss_rise(
         "from rednoise import Fgn, GaussianStream, increments\n"
         "increments(Fgn(0.9), 1.0, 2, GaussianStream(0))",
         f"x = increments(Fgn(0.9), 1.0, {n}, GaussianStream(1)).values") / n
-    assert rise <= 20, rise
+    assert rise <= 17, rise
 
 
 def test_mixed_with_opposite_gamma_suppresses_low_frequencies():
