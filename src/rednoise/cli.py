@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "fig2", help="discrete vs continuous restoring-system autocorrelation")
     p.add_argument("--psi", type=float, default=0.8)
     p.add_argument("--phi", type=float, default=0.9)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None,
                    help="steps per system (default 20000000)")
     p.add_argument("--max-lag", type=int, default=20)
@@ -226,10 +225,10 @@ def _length(args: argparse.Namespace, quick_n: int) -> int:
 def cmd_fig1(args: argparse.Namespace) -> int:
     n = _length(args, QUICK_FIG1_N)
     tol = 0.15 if args.quick else 0.10
-    result = spectra_run(theta=args.theta, gamma=args.gamma, n=n, dt=args.dt,
-                         band_width=args.band_width, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    result = spectra_run(theta=args.theta, gamma=args.gamma, n=n, dt=args.dt,
+                         band_width=args.band_width, seed=args.seed)
     for comp in result.comparisons:
         write_csv(outdir / f"{comp.name}.csv", "omega,empirical,theoretical",
                   comp.spectrum.omegas, comp.spectrum.powers, comp.theory)
@@ -250,10 +249,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 def cmd_fig2(args: argparse.Namespace) -> int:
     n = _length(args, QUICK_FIG2_N)
     tol = 0.03 if args.quick else 0.01
-    result = restoring_run(psi=args.psi, phi=args.phi, sigma=args.sigma, n=n,
-                           max_lag=args.max_lag, seed=args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    result = restoring_run(psi=args.psi, phi=args.phi, n=n,
+                           max_lag=args.max_lag, seed=args.seed)
     for comp in (result.discrete, result.continuous):
         write_csv(outdir / f"{comp.label}.csv", "tau,value",
                   comp.taus, comp.empirical)

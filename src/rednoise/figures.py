@@ -125,8 +125,7 @@ def spectra_run(theta: float = 0.1, gamma: float = 0.5, n: int = 20_000_000,
             max_rel_dev=float(rel.max()))
 
     comparisons = tuple(_map_substreams(
-        compare, zip(cases, GaussianStream(seed).spawn(len(cases))),
-        in_flight=2))
+        compare, zip(cases, GaussianStream(seed).spawn(len(cases)))))
     red_slope, _ = loglog_slope(comparisons[1].spectrum, w_lo, w_hi)
     return SpectraResult(comparisons=comparisons, red_slope=red_slope,
                          n=n, dt=dt, band_width=band_width)
@@ -164,9 +163,8 @@ def _acf_vs_theory(label: str, series: TimeSeries, burn_in: int, max_lag: int,
                          theory=theory, max_rel_dev=float(rel.max()))
 
 
-def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
-                  n: int = 20_000_000, max_lag: int = 20,
-                  seed: int = 0) -> RestoringResult:
+def restoring_run(psi: float = 0.8, phi: float = 0.9, n: int = 20_000_000,
+                  max_lag: int = 20, seed: int = 0) -> RestoringResult:
     """Discrete vs continuous restoring system vs the closed-form ACF.
 
     Both systems run on the unit grid, ``n`` values each: the discrete chain
@@ -176,12 +174,14 @@ def restoring_run(psi: float = 0.8, phi: float = 0.9, sigma: float = 1.0,
     estimation (the closed form is the asymptotic law), then their
     autocorrelations at lags 0..max_lag are compared with the closed form.
     Separate substreams drive the two simulations, so they are independent
-    realizations.  The two systems run on two threads, each simulating its
-    path, taking its ACF and freeing the path; every result has the bits of
-    running them one after the other.  ``n`` must exceed the burn-in plus
-    ``10 * max_lag``, the shortest tail :func:`empirical_acf` accepts.
+    realizations.  The noise amplitude cancels out of an autocorrelation,
+    so both systems run at ``sigma = 1``.  The two systems run on two
+    threads, each simulating its path, taking its ACF and freeing the path;
+    every result has the bits of running them one after the other.  ``n``
+    must exceed the burn-in plus ``10 * max_lag``, the shortest tail
+    :func:`empirical_acf` accepts.
     """
-    params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
+    params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=1.0)
     params_c = continuous_from_discrete(params_d)
     dt = 1.0                            # the discrete chain's unit grid
     burn = int(np.ceil(10.0 / min(params_c.lam, params_c.theta) / dt))
@@ -248,8 +248,8 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
     be -2 +/- 0.2 (pure red noise keeps decaying; any Brownian admixture pins
     the plateau at its squared amplitude).  The power is reported near each
     of the frequencies ``_PLATEAU_OMEGAS`` (10, 15, ..., 30).  Replicas run
-    on two threads, at most four in flight, and their powers are summed in
-    replica order, so the result has the bits of a serial loop.
+    on two threads, at most two tasks per thread, and their powers are
+    summed in replica order, so the result has the bits of a serial loop.
 
     Preconditions: an integer ``replicas >= 32``, at least 16 steps, and
     ``dt <= 2 pi / 300`` so that the band sits far below Nyquist.
@@ -286,7 +286,7 @@ def plateau_experiment(alpha_model: RedOuDt, beta: float, t: float, dt: float,
         return _band_powers(dy, dt, 1)
 
     mean_powers = None
-    for powers in _map_substreams(replica, stream.spawn(replicas), in_flight=4):
+    for powers in _map_substreams(replica, stream.spawn(replicas)):
         mean_powers = powers if mean_powers is None else mean_powers + powers
     mean_powers /= replicas
 

@@ -28,9 +28,11 @@ __all__ = [
 
 # Points per working block wherever a pass over a long array is split to cap
 # its temporaries: the finiteness mask here, the fGn workspace and the
-# DiffU and Mixed increments (models), the simulators' steps (simulate) and
-# the band spectrum's chunks of bins (spectral).  Each module imports it by
-# name, so a test can set one module's block alone.
+# DiffU and Mixed increments (models), the simulators' steps (simulate), and
+# the band spectrum's chunks of bins and the largest leaf of the ACF's and
+# variance's summation tree (spectral; at least 128, below which numpy
+# itself stops splitting).  Each module imports it by name, so a test can
+# set one module's block alone.
 _BLOCK = 2**16
 
 

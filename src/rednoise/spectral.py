@@ -42,10 +42,6 @@ from .series import _BLOCK, TimeSeries, _all_finite, _check_n, _check_values
 __all__ = ["AvgSpectrum", "AcfEstimate", "periodogram",
            "band_average", "empirical_acf", "loglog_slope"]
 
-# Largest leaf of empirical_acf's summation tree, in points; each leaf is
-# formed and summed in buffers of about this size.  At least 128, the size
-# below which numpy itself stops splitting.
-_ACF_LEAF = 1 << 16
 # Shortest even series that takes the four-step transform.  Below it the
 # whole-array FFT keeps numpy's bits, and pocketfft's two extra arrays stay
 # under 16 MiB together.  From it they are saved: `psd --band-width 100` of
@@ -55,7 +51,7 @@ _ACF_LEAF = 1 << 16
 # at 2^21.  A floor of 2^16 took `theorem --replicas 256`, whose replicas
 # hold 1e5 points, from 0.93 to 1.04 s.
 _FOUR_STEP_MIN = 1 << 20
-# One whole-array real FFT at a time, held by _rfft and _irfft around the
+# One whole-array real FFT at a time, held by _halfcomplex around the
 # transform alone: pocketfft's holds two more arrays of its input's length
 # (odd, unsplit or below 2^20 points), so two at once would double the
 # peak.  The four-step transform's scratch does not grow with n; no lock.
@@ -153,14 +149,14 @@ def _halfcomplex(y: np.ndarray, forward: bool) -> np.ndarray:
     n, norm="forward")``, without the 1/n.  Both run pocketfft's real
     kernel, which numpy vendors too, so the bits are numpy's.  The
     transform holds no output array of its own, only pocketfft's scratch
-    (two arrays of n values; hence ``_SPECTRUM_LOCK``, which its only
-    callers, :func:`_rfft` and :func:`_irfft`, hold) and its plan, which
-    pocketfft keeps cached after the call, and it releases the interpreter
-    lock.  pocketfft is not a numpy ufunc: ``np.errstate`` does not see an
-    overflow inside it.
+    (two arrays of n values; hence ``_SPECTRUM_LOCK``, held around the
+    transform alone) and its plan, which pocketfft keeps cached after the
+    call, and it releases the interpreter lock.  pocketfft is not a numpy
+    ufunc: ``np.errstate`` does not see an overflow inside it.
     """
-    extension("fft._pocketfft", "pypocketfft", "FFT").r2r_fftpack(
-        y, (0,), forward, forward, 0, y, 1)
+    with _SPECTRUM_LOCK:
+        extension("fft._pocketfft", "pypocketfft", "FFT").r2r_fftpack(
+            y, (0,), forward, forward, 0, y, 1)
     return y
 
 
@@ -283,7 +279,7 @@ def _rfft(y: np.ndarray):
     :func:`_four_step_rows` splits n, that is :func:`_four_step` and its
     split, within 1e-12 of the largest bin of numpy's: ``first = 0``, and
     ``ends`` is slot 0, which packs bins 0 and n/2.  Elsewhere it is
-    :func:`_halfcomplex`, under ``_SPECTRUM_LOCK``, with numpy's bits:
+    :func:`_halfcomplex`, one transform at a time, with numpy's bits:
     ``n1 = 1``, ``first = 1`` and ``z`` is ``y[1:n - 1 + n % 2]``."""
     y = np.ascontiguousarray(y)
     n = y.size
@@ -292,8 +288,7 @@ def _rfft(y: np.ndarray):
         z = _four_step_split(
             _four_step(y.view(np.complex128).reshape(n1, -1), True), True)
         return z, 0, z.reshape(-1)[:1].view(np.float64)
-    with _SPECTRUM_LOCK:
-        _halfcomplex(y, True)
+    _halfcomplex(y, True)
     return (y[1:n - 1 + n % 2].view(np.complex128)[None], 1,
             y[:1] if n % 2 else y[::n - 1])
 
@@ -303,8 +298,7 @@ def _irfft(y: np.ndarray, z: np.ndarray, first: int) -> np.ndarray:
     its ``z`` and ``ends``: ``y`` becomes ``np.fft.irfft(..., n,
     norm="forward")``, without the 1/n; returns ``y``."""
     if first:
-        with _SPECTRUM_LOCK:
-            _halfcomplex(y, False)
+        _halfcomplex(y, False)
     else:
         _four_step(_four_step_split(z, False), False)
     return y
@@ -381,7 +375,7 @@ def _split(k: int) -> int:
 
 def _leaves(start: int, k: int):
     """``(start, length)`` of each leaf of :func:`_tree_sum`, in order."""
-    if k <= _ACF_LEAF:
+    if k <= _BLOCK:
         yield start, k
     else:
         h = _split(k)
@@ -393,13 +387,13 @@ def _tree_sum(k: int, leaf_sums) -> float:
     """numpy's pairwise sum of ``k`` points, from the sums of its leaves.
 
     Splits as ``np.sum`` of a contiguous float64 array does until a piece
-    fits in ``_ACF_LEAF`` points, and takes each leaf's sum, in the order of
+    fits in ``_BLOCK`` points, and takes each leaf's sum, in the order of
     :func:`_leaves`, from the iterator ``leaf_sums``.  Given each leaf's
     ``np.sum``, the result has the bits of one ``np.sum`` over all ``k``
     points, since ``np.sum`` splits a leaf as it would inside the whole
     array.
     """
-    if k <= _ACF_LEAF:
+    if k <= _BLOCK:
         return next(leaf_sums)
     h = _split(k)
     return _tree_sum(h, leaf_sums) + _tree_sum(k - h, leaf_sums)
@@ -410,7 +404,7 @@ def _pairwise_var(values: np.ndarray, mean: np.float64) -> np.float64:
     and without its centered copy: each leaf's squared deviations are formed
     and summed in one reused buffer."""
     n = values.size
-    buf = np.empty(min(n, _ACF_LEAF))
+    buf = np.empty(min(n, _BLOCK))
 
     def leaf(a, k):
         x = np.subtract(values[a:a + k], mean, out=buf[:k])
@@ -428,13 +422,13 @@ def _lag_sums(values: np.ndarray, max_lag: int) -> np.ndarray:
     ``r = x[::-1]``: the mirrored half of the palindrome read forward on
     the reversed input.  The lags' summation trees split at nearby points,
     so their leaves are taken in order of start, and leaves that start
-    within ``_ACF_LEAF // 8`` points of each other share one centered
+    within ``_BLOCK // 8`` points of each other share one centered
     window of ``x`` and one of ``r``.
     """
     import heapq                      # at the call site: keeps CLI import lean
     n = values.size
-    leaf = min(_ACF_LEAF, n)
-    slack = _ACF_LEAF // 8
+    leaf = min(_BLOCK, n)
+    slack = _BLOCK // 8
     fwd, rev = np.empty(leaf + slack + max_lag), np.empty(leaf + slack + max_lag)
     p, q = np.empty(leaf), np.empty(leaf)
     xbar = _tree_sum(n, (np.sum(np.add(values[a:a + k],
@@ -482,7 +476,7 @@ def empirical_acf(series: TimeSeries, max_lag: int,
     not just mathematically but bit for bit.
 
     Each sum is numpy's pairwise sum of its palindrome (:func:`_tree_sum`),
-    formed a leaf of at most ``_ACF_LEAF`` points at a time from centered
+    formed a leaf of at most ``_BLOCK`` points at a time from centered
     windows of the input (:func:`_lag_sums`).  No full-length array is
     built, and the bits are those of ``np.sum`` over the whole palindrome.
     """

@@ -72,22 +72,25 @@ class GaussianStream:
         return f"GaussianStream(seed={self.seed}, count_drawn={self.count_drawn})"
 
 
-def _map_substreams(task, jobs, in_flight: int = 2):
+def _map_substreams(task, jobs):
     """Yield ``task(job)`` for each job, in job order, from ``_THREADS`` threads.
 
     Each job carries its own spawned substream, which no other job touches,
     so a task draws the same numbers on any thread and in any interleaving:
     the results do not depend on the thread count.  Besides the result being
-    yielded, at most ``in_flight`` tasks are queued, running or finished and
-    waiting, which bounds the memory they hold.  A task's exception is raised
-    here, at its turn in the order, after tasks not yet started are
-    cancelled and the running ones have finished.
+    yielded, at most two tasks per thread are queued, running or finished
+    and waiting.  A queued task holds only its job and at most ``_THREADS``
+    run, so the bound caps the finished results held (``theorem``'s replica
+    powers, 4 bytes per sample each).  A task's
+    exception is raised here, at its turn in the order, after tasks not yet
+    started are cancelled and the running ones have finished.
     """
     from concurrent.futures import ThreadPoolExecutor
     jobs = iter(jobs)
     pool = ThreadPoolExecutor(_THREADS)
     try:
-        pending = deque(pool.submit(task, job) for job in islice(jobs, in_flight))
+        pending = deque(pool.submit(task, job)
+                        for job in islice(jobs, 2 * _THREADS))
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(task, job) for job in islice(jobs, 1))

@@ -481,8 +481,8 @@ def empirical_acf_reference(values, max_lag: int,
 # serial substream pipelines
 # ---------------------------------------------------------------------------
 
-def restoring_run_serial(psi: float, phi: float, sigma: float, n: int,
-                         max_lag: int, seed: int):
+def restoring_run_serial(psi: float, phi: float, n: int, max_lag: int,
+                         seed: int):
     """``rednoise.restoring_run`` with its two systems run one after the
     other on the calling thread.
 
@@ -493,7 +493,7 @@ def restoring_run_serial(psi: float, phi: float, sigma: float, n: int,
                           continuous_from_discrete, simulate_discrete,
                           simulate_exact)
     from rednoise.figures import _acf_vs_theory
-    params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=sigma, x0=0.0)
+    params_d = DiscreteSystemParams(psi=psi, phi=phi, sigma=1.0, x0=0.0)
     params_c = continuous_from_discrete(params_d)
     child_d, child_c = GaussianStream(seed).spawn(2)
     path_d = simulate_discrete(params_d, n, child_d)

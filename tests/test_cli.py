@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import os
 import re
@@ -390,15 +391,6 @@ def test_generate_dt_whose_squares_underflow_exits_2_naming_dt(tmp_path,
                    "generated values underflows\n")
 
 
-def test_subnormal_sigma_square_still_runs_fig2(tmp_path, capsys):
-    # sigma**2 = 1e-320 is subnormal, not 0: the run is scale-free and passes
-    code, out, err = run(capsys, "fig2", "--quick", "--sigma", "1e-160",
-                         "--out", str(tmp_path))
-    assert (code, err) == (0, "")
-    assert out.splitlines()[-1].startswith(
-        "PASS fig2 discrete=0.0090 continuous=0.0148 tol=0.03")
-
-
 def test_ou_step_above_the_rounding_limit_is_generated(tmp_path, capsys):
     out_path = tmp_path / "x.csv"
     code, out, err = run(capsys, "generate", "--model", "model=du theta=1e-30",
@@ -523,7 +515,10 @@ def test_missing_fft_extension_exits_2_naming_the_directory(
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
     out_path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--out", str(out_path))
-    assert code == 2 and out == "" and not out_path.exists()
+    assert code == 2 and out == ""
+    # nothing is written; fig1 made its output directory first, left empty
+    assert (list(out_path.iterdir()) == [] if argv[0] == "fig1"
+            else not out_path.exists())
     searched = [str(tmp_path / "fft" / "_pocketfft")]
     assert err == (f"error: scipy's FFT extension pypocketfft not found in "
                    f"{searched}\n")
@@ -580,8 +575,6 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
          "theta=1e+300 too large: theta**2 overflows"),
         (("theorem", "--quick", "--beta", "1e200"),
          "beta=1e+200 too large: beta**2 overflows"),
-        (("fig2", "--quick", "--sigma", "1e300", "--out", str(tmp_path / "f")),
-         "sigma=1e+300 too large: sigma**2 overflows"),
         (("fig1", "--quick", "--dt", "1e-300", "--out", str(tmp_path / "f")),
          "dt=1e-300 too small: (pi/dt)**2 overflows"),
         # the slope window [1, 10] holds no band centre at these steps
@@ -591,11 +584,9 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
         (("fig1", "--quick", "--dt", "1e-150", "--out", str(tmp_path / "f")),
          "dt=1e-150 puts only 0 band centres in the slope window [1.0, 10.0] "
          "(n=2097152, band_width=1000); need at least 8"),
-        # a nonzero beta or sigma whose square underflows to 0
+        # a nonzero beta whose square underflows to 0
         (("theorem", "--quick", "--beta", "1e-200"),
          "beta=1e-200 too small: beta**2 underflows to 0"),
-        (("fig2", "--quick", "--sigma", "1e-300", "--out", str(tmp_path / "f")),
-         "sigma=1e-300 too small: sigma**2 underflows to 0"),
         # counts whose working array no array can hold (none is allocated)
         (("theorem", "--quick", "--dt", "1e-300"),
          "horizon T=500.0 at dt=1e-300 gives a working array larger than the "
@@ -623,7 +614,9 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {cause}\n")
-    assert not (tmp_path / "f").exists()
+    # fig1 makes its output directory before it samples; nothing is written
+    assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+    assert list((tmp_path / "f").iterdir()) == []
     assert [s.count_drawn for s in made_streams] == [0] * len(made_streams)
 
 
@@ -634,14 +627,11 @@ def test_theorem_overflowing_theta_exits_2_before_simulating(tmp_path, capsys,
     (("psd", "--in", "{big}", "--dt", "1"),
      "periodogram overflows: the FFT or its squared amplitudes exceed the "
      "float64 range"),
-    (("fig2", "--quick", "--sigma", "1e150"),
-     "empirical_acf overflows: the lag sums exceed the float64 range"),
-], ids=["acf", "psd", "fig2"])
+], ids=["acf", "psd"])
 def test_overflowing_estimates_exit_2_naming_the_estimator(tmp_path, capsys,
                                                            argv, cause):
     # finite values whose squares overflow: one error line that names the
-    # estimator and no numpy warning ahead of it, also where the ACF runs
-    # on a worker thread (fig2)
+    # estimator and no numpy warning ahead of it
     big = tmp_path / "big.f64le"
     (GaussianStream(3).fill(2000) * 1e160).astype("<f8").tofile(big)
     out_path = tmp_path / "out"
@@ -677,11 +667,12 @@ def test_fig1_quick(tmp_path, capsys):
 def test_fig2_too_short_for_burn_in_and_lags_exits_2(tmp_path, capsys, n,
                                                     max_lag):
     # the 95-step burn-in and the ACF's n/10 rule are checked against the n
-    # the user gave, before anything is simulated or written
+    # the user gave, before anything is simulated or written (the output
+    # directory is made first, and left empty)
     out_path = tmp_path / "fig2"
     code, out, err = run(capsys, "fig2", "--n", str(n), "--max-lag",
                          str(max_lag), "--out", str(out_path))
-    assert code == 2 and out == "" and not out_path.exists()
+    assert code == 2 and out == "" and list(out_path.iterdir()) == []
     assert err == (f"error: n={n} too short for a burn-in of 95 and "
                    f"max_lag={max_lag}: need n > 95 + 10*{max_lag} = "
                    f"{95 + 10 * max_lag}\n")
@@ -696,9 +687,23 @@ def test_fig2_negative_max_lag_exits_2_before_simulating(tmp_path, capsys,
     out_path = tmp_path / "fig2"
     code, out, err = run(capsys, "fig2", "--quick", "--max-lag", "-1",
                          "--out", str(out_path))
-    assert code == 2 and out == "" and not out_path.exists()
+    assert code == 2 and out == "" and list(out_path.iterdir()) == []
     assert err == "error: max_lag must be at least 0, got -1\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_an_existing_file_as_out_stops_before_any_stream(tmp_path, capsys,
+                                                         made_streams, command):
+    # the output directory is made before the pipeline runs, so a path that
+    # cannot be one ends the run at once, with one error line naming it
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code, out, err = run(capsys, command, "--quick", "--out", str(taken))
+    assert (code, out) == (2, "")
+    assert err == (f"error: [Errno {errno.EEXIST}] "
+                   f"{os.strerror(errno.EEXIST)}: '{taken}'\n")
+    assert made_streams == [] and taken.read_text() == "kept"
 
 
 def test_fig2_shortest_accepted_n_runs(tmp_path, capsys):

@@ -154,3 +154,35 @@ def test_all_is_one_literal_list():
     assert len(lists) == 1 and isinstance(lists[0], ast.List)
     names = ast.literal_eval(lists[0])
     assert len(names) == len(rednoise.__all__)
+
+
+# What the source may hold at most.  A change that needs more raises the
+# constant in its own diff and says why in CHANGES.md.
+_MAX_STATEMENTS = 1142
+_MAX_EXPORTS = 43
+_MAX_CLI_OPTIONS = 44
+
+
+def test_source_budget():
+    # statements, not lines, so reformatting neither spends nor saves; a
+    # docstring is not a statement here, and -h/--help is no option
+    def statements(tree):
+        count = 0
+        for node in ast.walk(tree):
+            count += isinstance(node, ast.stmt)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                count -= ast.get_docstring(node, clean=False) is not None
+        return count
+
+    paths = sorted(Path(rednoise.__file__).parent.glob("*.py"))
+    used = sum(statements(ast.parse(p.read_text(encoding="utf-8")))
+               for p in paths)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = sum(opt not in ("-h", "--help")
+                  for sub in subparsers.choices.values()
+                  for opt in sub._option_string_actions)
+    assert used <= _MAX_STATEMENTS, used
+    assert len(rednoise.__all__) <= _MAX_EXPORTS, len(rednoise.__all__)
+    assert options <= _MAX_CLI_OPTIONS, options

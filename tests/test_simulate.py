@@ -42,6 +42,24 @@ def test_invalid_params_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("record", [DiscreteSystemParams, ContinuousSystemParams])
+@pytest.mark.parametrize("sigma, cause", [
+    (1e300, "sigma=1e+300 too large: sigma**2 overflows"),
+    (1e-300, "sigma=1e-300 too small: sigma**2 underflows to 0"),
+], ids=["overflow", "underflow"])
+def test_sigma_whose_square_leaves_the_float64_range_is_named(record, sigma,
+                                                              cause):
+    with pytest.raises(ValueError) as info:
+        record(0.8, 0.9, sigma)
+    assert str(info.value) == cause
+
+
+@pytest.mark.parametrize("record", [DiscreteSystemParams, ContinuousSystemParams])
+def test_sigma_with_a_subnormal_square_is_accepted(record):
+    # sigma**2 = 1e-320 is subnormal, not 0
+    assert record(0.8, 0.9, 1e-160).sigma == 1e-160
+
+
 BAD_RATES = [0.0, -1.0, float("nan"), float("inf"), 1e-320, 5e-324]
 
 

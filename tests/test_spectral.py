@@ -226,7 +226,7 @@ def test_acf_matches_whole_array_oracle_bit_for_bit(monkeypatch, leaf):
     # size they give the bytes of np.sum over the full-length palindromes;
     # a numpy that changes its summation tree fails here.  Lags below n/10,
     # up to 24; then 2000 lags, whose trees split far apart
-    monkeypatch.setattr(spectral, "_ACF_LEAF", leaf)
+    monkeypatch.setattr(spectral, "_BLOCK", leaf)
     stream = GaussianStream(12)
     cases = [(n, min(-(-n // 10) - 1, 24))
              for n in (11, 127, 128, 129, 2**14 - 1, 2**14 + 1, 3 * 2**14 + 5,
@@ -252,7 +252,7 @@ def test_acf_holds_no_full_length_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    leaf = 8 * spectral._ACF_LEAF
+    leaf = 8 * spectral._BLOCK
     assert peak <= 4.5 * leaf, peak / leaf
     assert peak < 8 * n / 2
 
@@ -579,7 +579,7 @@ def test_pairwise_var_holds_no_centered_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 8 * spectral._ACF_LEAF, peak
+    assert peak < 1.1 * 8 * spectral._BLOCK, peak
 
 
 # ---------------------------------------------------------------------------

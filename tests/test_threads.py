@@ -15,8 +15,8 @@ import rednoise.figures as figures
 import rednoise.spectral as spectral
 import rednoise.streams as streams
 from rednoise import (DiffU, GaussianStream, Mixed, RedOuDt, TimeSeries, White,
-                      increments, plateau_experiment, restoring_run,
-                      spectra_run)
+                      empirical_acf, increments, plateau_experiment,
+                      restoring_run, spectra_run)
 from rednoise.cli import main
 from rednoise.streams import _map_substreams
 
@@ -68,8 +68,7 @@ def test_results_come_in_job_order_when_an_earlier_job_finishes_last():
     assert finished[:2] == [1, 0]
 
 
-@pytest.mark.parametrize("in_flight", [1, 2, 4])
-def test_jobs_in_flight_stay_bounded(in_flight):
+def test_jobs_in_flight_stay_bounded(threads):
     started = []
     lock = threading.Lock()
 
@@ -78,10 +77,21 @@ def test_jobs_in_flight_stay_bounded(in_flight):
             started.append(i)
         return i
 
-    for i, result in enumerate(_map_substreams(task, range(20), in_flight)):
+    for i, result in enumerate(_map_substreams(task, range(20))):
         assert result == i
-        # job i is yielded: at most in_flight later jobs were submitted
-        assert len(started) <= i + 1 + in_flight
+        # job i is yielded: at most two later jobs per thread were submitted
+        assert len(started) <= i + 1 + 2 * threads
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_acf_on_a_worker_raises_naming_the_estimator():
+    # np.errstate is per thread, so the estimator sets its own: an overflow
+    # on a substream worker, where fig2 takes its ACFs, is named, with no
+    # numpy warning
+    big = TimeSeries(1.0, GaussianStream(3).fill(2000) * 1e160)
+    with pytest.raises(ValueError, match="^empirical_acf overflows: the lag "
+                                         "sums exceed the float64 range$"):
+        list(_map_substreams(lambda s: empirical_acf(s, 20), [big]))
 
 
 def test_a_failing_job_raises_at_its_turn():
@@ -104,10 +114,10 @@ def test_a_failing_job_raises_at_its_turn():
 def test_restoring_run_has_the_bits_of_the_serial_run(monkeypatch, threads, seed):
     n = 200_000
     children = _record_spawns(monkeypatch)
-    want, serial = oracles.restoring_run_serial(0.8, 0.9, 1.3, n, 20, seed)
+    want, serial = oracles.restoring_run_serial(0.8, 0.9, n, 20, seed)
     assert [s.count_drawn for s in serial] == [n - 2, 2 * (n - 1)]
     children.clear()
-    got = restoring_run(psi=0.8, phi=0.9, sigma=1.3, n=n, max_lag=20, seed=seed)
+    got = restoring_run(psi=0.8, phi=0.9, n=n, max_lag=20, seed=seed)
     assert [s.count_drawn for s in children] == [n - 2, 2 * (n - 1)]
     assert got.burn_in == want.burn_in
     assert got.params_continuous == want.params_continuous
